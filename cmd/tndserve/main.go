@@ -73,7 +73,7 @@ func main() {
 		return nil
 	})
 	addr := flag.String("addr", ":8321", "listen address")
-	parallelism := flag.Int("parallelism", 0, "worker count for store scans (0 = all CPUs)")
+	parallelism := flag.Int("parallelism", 0, "worker count for batch and occurrence fan-outs (0 = all CPUs)")
 	cacheBytes := flag.Int("cache-bytes", 0, "per-mount pattern-body cache budget (0 = 8 MiB, negative disables)")
 	watch := flag.String("watch", "", "spool directory to poll for newer-generation stores to hot-swap in")
 	watchInterval := flag.Duration("watch-interval", time.Second, "spool poll interval")
@@ -97,16 +97,8 @@ func main() {
 		}
 		used[strings.TrimSuffix(filepath.Base(p), filepath.Ext(p))]++
 		mounts = append(mounts, serve.Mount{Name: name, Reader: r})
-		codes := "exact codes"
-		if !r.Exact() {
-			codes = "legacy v1 codes (approximate matches possible)"
-		}
-		locIdx := "lazy location index"
-		if _, _, ok := r.LocationIndex(); ok {
-			locIdx = "persisted location index"
-		}
-		log.Printf("mounted %s: format v%d (%s, %s), %d transactions, %d patterns across %d levels",
-			p, r.Version(), codes, locIdx, r.NumTransactions(), r.NumPatterns(), len(r.Levels()))
+		log.Printf("mounted %s: format v%d, %d transactions, %d patterns across %d levels",
+			p, store.FormatVersion, r.NumTransactions(), r.NumPatterns(), len(r.Levels()))
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

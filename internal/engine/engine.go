@@ -16,7 +16,9 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -73,15 +75,26 @@ func Parallelism(p int) int {
 	return p
 }
 
+// ErrPanic marks the error MapCtx returns for a task that panicked
+// on a worker goroutine; the error text carries the panic value and
+// the worker's stack.
+var ErrPanic = errors.New("task panicked")
+
 // Map runs fn(i) for every i in [0, n) on at most p workers (after
 // Parallelism normalisation) and returns the results in input order.
 // With p == 1 or n <= 1 it runs inline with no goroutines, so a
 // serial run has zero scheduling overhead and is trivially identical
-// to the parallel one.
+// to the parallel one. A panic in fn panics in the caller at any p:
+// fn cannot fail and the context is never cancelled, so the only
+// error MapCtx can report here is a recovered worker panic, and Map
+// re-raises it rather than return a partial result.
 func Map[T any](p, n int, fn func(i int) T) []T {
-	res, _ := MapCtx(context.Background(), p, n, func(_ context.Context, i int) (T, error) {
+	res, err := MapCtx(context.Background(), p, n, func(_ context.Context, i int) (T, error) {
 		return fn(i), nil
 	})
+	if err != nil {
+		panic(err)
+	}
 	return res
 }
 
@@ -89,7 +102,11 @@ func Map[T any](p, n int, fn func(i int) T) []T {
 // cancelled as soon as any call returns a non-nil error (or the
 // parent context is cancelled), remaining indices are skipped, and
 // the first error in input order is returned. On success every slot
-// of the result is filled and the slice is in input order.
+// of the result is filled and the slice is in input order. A panic in
+// fn on a worker goroutine is recovered and returned as that index's
+// error (wrapping ErrPanic, stack included), so it cancels the call
+// instead of killing the process (the inline p == 1 path panics in
+// the caller's goroutine, as any direct call would).
 func MapCtx[T any](ctx context.Context, p, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, ctx.Err()
@@ -147,8 +164,15 @@ func MapCtx[T any](ctx context.Context, p, n int, fn func(ctx context.Context, i
 	for w := 0; w < p; w++ {
 		go func() {
 			defer wg.Done()
+			i := -1 // the index in flight, for the panic report
+			defer func() {
+				if r := recover(); r != nil {
+					meter.finish()
+					report(i, fmt.Errorf("engine: %w (task %d): %v\n%s", ErrPanic, i, r, debug.Stack()))
+				}
+			}()
 			for {
-				i := int(next.Add(1)) - 1
+				i = int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}

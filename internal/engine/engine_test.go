@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -126,6 +127,61 @@ func TestMapCtxRealErrorNotMaskedByCancellation(t *testing.T) {
 	})
 	if !errors.Is(err, errBoom) {
 		t.Errorf("err = %v, want the real error from index 1, not cancellation fallout", err)
+	}
+}
+
+// TestMapCtxWorkerPanicBecomesError: a panic in one task of a
+// parallel call is returned as that task's error, stack included, and
+// cancels the rest — it must not crash the process. The other three
+// workers block until cancelled, so no task beyond the first four
+// ever starts.
+func TestMapCtxWorkerPanicBecomesError(t *testing.T) {
+	const p, n = 4, 1000
+	q0, i0 := tasksQueued.Value(), tasksInFlight.Value()
+	var calls atomic.Int64
+	_, err := MapCtx(context.Background(), p, n, func(ctx context.Context, i int) (int, error) {
+		calls.Add(1)
+		if i == p-1 {
+			panic("boom")
+		}
+		<-ctx.Done()
+		return 0, ctx.Err()
+	})
+	if !errors.Is(err, ErrPanic) || !strings.Contains(err.Error(), fmt.Sprintf("(task %d): boom", p-1)) ||
+		!strings.Contains(err.Error(), "goroutine") {
+		t.Fatalf("err = %v, want the recovered panic with its stack", err)
+	}
+	if c := calls.Load(); c > p {
+		t.Errorf("fn called %d times, want at most %d (workers must stop after the panic)", c, p)
+	}
+	if tasksQueued.Value() != q0 || tasksInFlight.Value() != i0 {
+		t.Errorf("gauges did not settle: queued %d->%d, inflight %d->%d",
+			q0, tasksQueued.Value(), i0, tasksInFlight.Value())
+	}
+}
+
+// TestMapWorkerPanicReachesCaller: Map has no error return, so a
+// worker panic must panic in the caller rather than come back as a
+// nil or partial slice that a miner would take for an empty level.
+func TestMapWorkerPanicReachesCaller(t *testing.T) {
+	var got []int
+	func() {
+		defer func() {
+			r := recover()
+			err, ok := r.(error)
+			if !ok || !errors.Is(err, ErrPanic) || !strings.Contains(err.Error(), "(task 7): boom") {
+				t.Errorf("recovered %v, want the re-raised worker panic", r)
+			}
+		}()
+		got = Map(4, 100, func(i int) int {
+			if i == 7 {
+				panic("boom")
+			}
+			return i
+		})
+	}()
+	if got != nil {
+		t.Errorf("Map returned %d results after a task panicked", len(got))
 	}
 }
 

@@ -482,9 +482,9 @@ func (m *miner) mineSingleEdgesDelta() ([]Pattern, bool) {
 				embs = append(embs, sp.Embs...)
 				if sp.Overflowed {
 					// The stored lists keep their per-TID completeness
-					// marks; an overflowed record without marks (legacy
-					// data) treats every stored list as seeds. Appended
-					// lists from the fresh scan below stay complete.
+					// marks; an overflowed record without marks treats
+					// every stored list as seeds. Appended lists from
+					// the fresh scan below stay complete.
 					overflowed = true
 					partial = sp.Partial.Clone()
 					if partial.Len() == 0 {

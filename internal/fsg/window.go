@@ -216,12 +216,12 @@ func retirePattern(p *Pattern, retired pattern.TIDSet, prefix int, remap []int, 
 		if np.Len() == 0 {
 			// Every partial list was retired: the surviving lists are
 			// all complete, so the overflow mark comes off — an empty
-			// Partial on an Overflowed pattern would read as the legacy
-			// "all seeds" encoding and force needless re-searches.
+			// Partial on an Overflowed pattern would read as "unknown,
+			// all seeds" and force needless re-searches.
 			out.Overflowed = false
 		}
 	}
-	// An Overflowed pattern with no Partial marks (legacy data, or a
+	// An Overflowed pattern with no Partial marks (marks unknown, or a
 	// bare column with no embedding lists at all) keeps its flag: the
 	// lists' completeness is unknown, and "treat everything as seeds"
 	// stays the conservative, exact reading over the survivors.

@@ -12,8 +12,7 @@ import (
 
 // This file implements exact canonical labeling for labeled directed
 // multigraphs via individualisation–refinement (the bliss/nauty
-// family of algorithms), replacing the earlier quasi-canonical string
-// codes and their permutation-budget "~" fallback.
+// family of algorithms).
 //
 // The pipeline per graph:
 //

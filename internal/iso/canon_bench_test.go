@@ -10,8 +10,8 @@ import (
 // benchGraphs is the canonical-coding benchmark suite: the typical
 // mining-path shapes (small, mostly asymmetric patterns), the
 // high-symmetry shapes that define the worst case (cycles, stars,
-// complete bipartite), and the hub that previously exceeded the
-// permutation budget and fell back to a "~" code.
+// complete bipartite), and a 60-spoke hub whose single refinement
+// cell holds 60! vertex orderings.
 func benchGraphs() map[string]*graph.Graph {
 	gs := make(map[string]*graph.Graph)
 

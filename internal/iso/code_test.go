@@ -43,11 +43,10 @@ func TestCodeSingleVertices(t *testing.T) {
 	}
 }
 
-// TestCodeExactOnHugeSymmetry is the shape that previously exceeded
-// the permutation budget and degraded to a "~" code: a hub with 60
-// identical spokes (60! orderings within one refinement cell). The
-// individualisation-refinement labeler must code it exactly — equal
-// for isomorphic copies, different from near-misses.
+// TestCodeExactOnHugeSymmetry is a hub with 60 identical spokes (60!
+// orderings within one refinement cell). The individualisation-
+// refinement labeler must code it exactly — equal for isomorphic
+// copies, different from near-misses.
 func TestCodeExactOnHugeSymmetry(t *testing.T) {
 	mkStar := func(name string, spokes int) *graph.Graph {
 		g := graph.New(name)
@@ -74,8 +73,8 @@ func TestCodeExactOnHugeSymmetry(t *testing.T) {
 	}
 }
 
-// TestCodeSeparatesC12FromTwoC6 is the engineered collision of the
-// PR 2 invariant codes: a single directed 12-cycle versus two
+// TestCodeSeparatesC12FromTwoC6 is the engineered collision of
+// invariant-based codes: a single directed 12-cycle versus two
 // disjoint 6-cycles have identical degree/label refinement views but
 // are not isomorphic. Exact codes must separate them.
 func TestCodeSeparatesC12FromTwoC6(t *testing.T) {

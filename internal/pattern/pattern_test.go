@@ -2,12 +2,11 @@ package pattern
 
 import (
 	"fmt"
-	"math/rand"
+	"strings"
 	"testing"
 
 	"tnkd/internal/graph"
 	"tnkd/internal/iso"
-	"tnkd/internal/synth"
 )
 
 // cycle builds a directed cycle of n uniformly labeled vertices —
@@ -26,95 +25,31 @@ func cycle(g *graph.Graph, n int) {
 // TestExactCodesSeparateFormerCollision is the engineered collision
 // of the pre-canonical era: C12 and C6+C6 are non-isomorphic but
 // share vertex and edge invariants, so their hashed "~" codes used
-// to collide and dedup leaned on the SameGraph isomorphism fallback.
-// Exact canonical codes must separate the pair outright — and
-// SameGraph (now the v1-store compat oracle) must agree with plain
-// code equality on exact codes.
+// to collide. Every dedup site keys patterns by plain Code equality,
+// so the codes patterns carry must be exact: no "~" prefix, distinct
+// for the pair, equal for isomorphic copies.
 func TestExactCodesSeparateFormerCollision(t *testing.T) {
 	c12 := graph.New("c12")
 	cycle(c12, 12)
 	twoC6 := graph.New("2c6")
 	cycle(twoC6, 6)
 	cycle(twoC6, 6)
+	c12b := graph.New("c12b")
+	cycle(c12b, 12)
 
-	codeA, codeB := iso.Code(c12), iso.Code(twoC6)
-	if ApproxCode(codeA) || ApproxCode(codeB) {
-		t.Fatalf("the mining path must not emit approximate codes, got %q / %q", codeA, codeB)
+	a := NewSingle(c12, iso.Code(c12), nil)
+	b := NewSingle(twoC6, iso.Code(twoC6), nil)
+	c := NewSingle(c12b, iso.Code(c12b), nil)
+	for _, p := range []*Pattern{a, b, c} {
+		if strings.HasPrefix(p.Code, "~") {
+			t.Fatalf("the mining path must not emit approximate codes, got %q", p.Code)
+		}
 	}
-	if codeA == codeB {
+	if a.Code == b.Code {
 		t.Fatal("exact codes failed to separate C12 from C6+C6")
 	}
-	if SameGraph(codeA, c12, codeB, twoC6) {
-		t.Fatal("SameGraph merged non-isomorphic graphs with distinct exact codes")
-	}
-	c12b := graph.New("c12b")
-	cycle(c12b, 12)
-	if !SameGraph(codeA, c12, iso.Code(c12b), c12b) {
-		t.Fatal("SameGraph split isomorphic graphs with equal exact codes")
-	}
-}
-
-// TestSameGraphLegacyApproxSemantics pins the v1-store compat path:
-// legacy "~" codes collide between non-isomorphic graphs, so
-// SameGraph must confirm equality with an isomorphism check instead
-// of trusting the code.
-func TestSameGraphLegacyApproxSemantics(t *testing.T) {
-	c12 := graph.New("c12")
-	cycle(c12, 12)
-	twoC6 := graph.New("2c6")
-	cycle(twoC6, 6)
-	cycle(twoC6, 6)
-	c12b := graph.New("c12b")
-	cycle(c12b, 12)
-
-	// A v1 store could hold both graphs under one colliding "~" code.
-	legacy := "~2kp0mbcgyyppw"
-	if !ApproxCode(legacy) {
-		t.Fatal("legacy code not recognised as approximate")
-	}
-	if SameGraph(legacy, c12, legacy, twoC6) {
-		t.Fatal("SameGraph trusted a colliding legacy code")
-	}
-	if !SameGraph(legacy, c12, legacy, c12b) {
-		t.Fatal("SameGraph split isomorphic graphs sharing a legacy code")
-	}
-	if SameGraph(legacy, c12, "~other", c12b) {
-		t.Fatal("SameGraph merged distinct legacy codes")
-	}
-}
-
-// TestSameGraphMatchesIsomorphicOnSynthPairs cross-checks the compat
-// oracle against exact isomorphism on seeded random graph pairs from
-// the synth generator.
-func TestSameGraphMatchesIsomorphicOnSynthPairs(t *testing.T) {
-	rng := rand.New(rand.NewSource(20050405))
-	patterns := synth.DefaultPatterns()
-	build := func(seed int64, copies, noise int) *graph.Graph {
-		return synth.Plant(synth.PlantConfig{
-			Seed:             seed,
-			Patterns:         patterns[:1+rng.Intn(len(patterns))],
-			CopiesPerPattern: copies,
-			NoiseEdges:       noise,
-			NoiseLabels:      []string{"w1", "w2"},
-		}).Graph
-	}
-	for trial := 0; trial < 20; trial++ {
-		seedA := int64(trial)
-		seedB := seedA
-		copies := 1 + rng.Intn(3)
-		noise := rng.Intn(4)
-		if trial%2 == 0 {
-			seedB = seedA + 100 // usually a different graph
-		}
-		a := build(seedA, copies, noise)
-		b := build(seedB, copies, noise)
-		codeA, codeB := iso.Code(a), iso.Code(b)
-		got := SameGraph(codeA, a, codeB, b)
-		want := iso.Isomorphic(a, b)
-		if got != want {
-			t.Fatalf("trial %d: SameGraph=%v but Isomorphic=%v (codes %q / %q)",
-				trial, got, want, codeA, codeB)
-		}
+	if a.Code != c.Code {
+		t.Fatal("isomorphic C12 copies carry different pattern codes")
 	}
 }
 

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -212,6 +211,10 @@ func (s *Server) remountFailed(mount, path, kind string, err error) {
 	s.logger.Warn("remount rejected", "mount", mount, "path", path, "kind", kind, "error", err.Error())
 }
 
+// maxRemountBodyBytes caps a remount request body: a mount name and a
+// file path.
+const maxRemountBodyBytes = 64 << 10
+
 // handleRemount is the admin endpoint for hot swaps. Body:
 // {"store": "name", "path": "file.tnd"} — omit "store" to match the
 // candidate against every mount's lineage (RemountAuto).
@@ -220,8 +223,7 @@ func (s *Server) handleRemount(w http.ResponseWriter, r *http.Request) {
 		Store string `json:"store"`
 		Path  string `json:"path"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid remount request: %v", err)
+	if !decodeBody(w, r, maxRemountBodyBytes, "remount", &req) {
 		return
 	}
 	if req.Path == "" {

@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -360,105 +361,112 @@ func TestBatchMatchesPointQueries(t *testing.T) {
 	postBatch(t, fx.ts, huge, http.StatusBadRequest)
 }
 
-// rewriteAsLayout re-encodes a store's full content at an older
-// layout version — the cross-package twin of the store package's
-// legacy synthesis, used to prove the serving layer treats persisted
-// and lazy location indices identically.
-func rewriteAsLayout(t testing.TB, srcPath, dstPath string, layout int) {
+// invertRecords is the test-only reference for /v1/locations: it
+// decodes every record of a store and inverts its embeddings against
+// the stored transactions (for each vertex label, the embeddings
+// touching it and their TIDs), then renders each label's response
+// body exactly as handleLocation frames it.
+func invertRecords(t *testing.T, rd *store.Reader, mount string) (bodies map[string][]byte, noEmb int) {
 	t.Helper()
-	src, err := store.Open(srcPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close() //nolint:errcheck
-	w, err := store.Create(dstPath, src.Meta())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.SetLayout(layout); err != nil {
-		t.Fatal(err)
-	}
-	txns := make([]*graph.Graph, src.NumTransactions())
-	for i := range txns {
-		if txns[i], err = src.Transaction(i); err != nil {
+	byLabel := map[string][]LocationPatternJSON{}
+	for i := 0; i < rd.NumPatterns(); i++ {
+		info := rd.Info(i)
+		if info.Embeddings == 0 {
+			noEmb++
+			continue
+		}
+		p, err := rd.Pattern(i)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := w.WriteTransactions(txns); err != nil {
-		t.Fatal(err)
-	}
-	for _, lv := range src.Levels() {
-		start, end := src.LevelRange(lv.Edges)
-		pats := make([]pattern.Pattern, 0, end-start)
-		for i := start; i < end; i++ {
-			p, err := src.Pattern(i)
+		hits := map[string]*LocationPatternJSON{}
+		for j, tid := range p.TIDs.All() {
+			txn, err := rd.Transaction(tid)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pats = append(pats, *p)
+			for _, emb := range p.Embs[j] {
+				seen := map[string]bool{}
+				for _, v := range emb.Verts {
+					label := txn.Vertex(v).Label
+					if seen[label] {
+						continue
+					}
+					seen[label] = true
+					h := hits[label]
+					if h == nil {
+						h = &LocationPatternJSON{Store: mount, Index: i, Code: info.Code,
+							Edges: info.Edges, Support: info.Support}
+						hits[label] = h
+					}
+					h.Occurrences++
+					if n := len(h.TIDs); n == 0 || h.TIDs[n-1] != tid {
+						h.TIDs = append(h.TIDs, tid)
+					}
+				}
+			}
 		}
-		if err := w.WriteLevel(lv.Edges, pats); err != nil {
+		for label, h := range hits {
+			byLabel[label] = append(byLabel[label], *h)
+		}
+	}
+	bodies = make(map[string][]byte, len(byLabel))
+	for label, pats := range byLabel {
+		sort.SliceStable(pats, func(a, b int) bool { return pats[a].Occurrences > pats[b].Occurrences })
+		body, err := json.MarshalIndent(LocationJSON{Label: label, Patterns: pats, PatternsWithoutEmbeddings: noEmb}, "", "  ")
+		if err != nil {
 			t.Fatal(err)
 		}
+		bodies[label] = append(body, '\n')
 	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	return bodies, noEmb
 }
 
-// TestLocationPersistedMatchesLazyFallback serves the same mining
-// content from a v4 store (persisted index) and a v3 re-encoding
-// (lazy scan) and requires byte-identical /v1/locations responses
-// for every label, plus truthful /v1/stores reporting of which path
-// answered.
-func TestLocationPersistedMatchesLazyFallback(t *testing.T) {
+// TestLocationResponsesMatchRecordInversion checks every label's
+// /v1/locations body, byte for byte, against an inversion of the
+// decoded records computed in the test, and that /v1/stores reports
+// the persisted index of a v4 store.
+func TestLocationResponsesMatchRecordInversion(t *testing.T) {
 	fx := newMinedFixture(t)
-	v3Path := filepath.Join(t.TempDir(), "v3.tnd")
-	rewriteAsLayout(t, fx.path, v3Path, 3)
-	r3, err := store.Open(v3Path)
+	rd, err := store.Open(fx.path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { r3.Close() }) //nolint:errcheck
-	// Same mount name so response bodies can be compared bytewise.
-	ts3 := httptest.NewServer(New([]Mount{{Name: "mined", Reader: r3}}, Options{Parallelism: 4}).Handler())
-	t.Cleanup(ts3.Close)
-
-	var stores4, stores3 []StoreJSON
-	getJSON(t, fx.ts, "/v1/stores", &stores4)
-	getJSON(t, ts3, "/v1/stores", &stores3)
-	if stores4[0].LocationIndex != "persisted" || stores4[0].Version != 4 {
-		t.Fatalf("v4 mount reports %q (v%d)", stores4[0].LocationIndex, stores4[0].Version)
-	}
-	if stores3[0].LocationIndex != "lazy" || stores3[0].Version != 3 {
-		t.Fatalf("v3 mount reports %q (v%d)", stores3[0].LocationIndex, stores3[0].Version)
+	defer rd.Close() //nolint:errcheck
+	want, noEmb := invertRecords(t, rd, "mined")
+	if len(want) == 0 {
+		t.Fatal("fixture has no locatable patterns")
 	}
 
-	labels := map[string]bool{}
+	var stores []StoreJSON
+	getJSON(t, fx.ts, "/v1/stores", &stores)
+	if stores[0].LocationIndex != "persisted" || stores[0].Version != 4 {
+		t.Fatalf("mount reports %q (v%d)", stores[0].LocationIndex, stores[0].Version)
+	}
+
+	labels := map[string]bool{"no-such-place": true}
 	for _, txn := range fx.txns {
 		for _, v := range txn.Vertices() {
 			labels[txn.Vertex(v).Label] = true
 		}
 	}
-	labels["no-such-place"] = true
-	get := func(ts *httptest.Server, label string) []byte {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/v1/locations/" + url.PathEscape(label) + "/patterns")
+	for label := range labels {
+		resp, err := http.Get(fx.ts.URL + "/v1/locations/" + url.PathEscape(label) + "/patterns")
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close() //nolint:errcheck
-		body, _ := io.ReadAll(resp.Body)
+		got, _ := io.ReadAll(resp.Body)
+		resp.Body.Close() //nolint:errcheck
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("label %q: status %d: %s", label, resp.StatusCode, body)
+			t.Fatalf("label %q: status %d: %s", label, resp.StatusCode, got)
 		}
-		return body
-	}
-	for label := range labels {
-		b4 := get(fx.ts, label)
-		b3 := get(ts3, label)
-		if !bytes.Equal(b4, b3) {
-			t.Fatalf("label %q: persisted and lazy responses diverge:\npersisted: %s\nlazy: %s", label, b4, b3)
+		exp, ok := want[label]
+		if !ok {
+			body, _ := json.MarshalIndent(LocationJSON{Label: label, Patterns: []LocationPatternJSON{}, PatternsWithoutEmbeddings: noEmb}, "", "  ")
+			exp = append(body, '\n')
+		}
+		if !bytes.Equal(got, exp) {
+			t.Fatalf("label %q: served body diverges from the record inversion:\nserved: %s\nwant: %s", label, got, exp)
 		}
 	}
 }

@@ -1,22 +1,27 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"tnkd/internal/engine"
 	"tnkd/internal/fsg"
 	"tnkd/internal/graph"
+	"tnkd/internal/obs"
 	"tnkd/internal/store"
 	"tnkd/internal/synth"
 )
@@ -336,6 +341,79 @@ func TestServeErrors(t *testing.T) {
 	getJSON(t, fx.ts, "/v1/levels/-1", &e, http.StatusBadRequest)
 	code := fx.result.Patterns[0].Code
 	getJSON(t, fx.ts, "/v1/patterns/"+codePath(code)+"/occurrences?limit=x", &e, http.StatusBadRequest)
+}
+
+// streamedBody is an n-byte request body `{"codes":["aaaa…` generated
+// on the fly, counting how many bytes the server pulls from it.
+type streamedBody struct{ n, read int64 }
+
+func (b *streamedBody) Read(p []byte) (int, error) {
+	const prefix = `{"codes":["`
+	if b.read >= b.n {
+		return 0, io.EOF
+	}
+	if rem := b.n - b.read; int64(len(p)) > rem {
+		p = p[:rem]
+	}
+	for i := range p {
+		if off := b.read + int64(i); off < int64(len(prefix)) {
+			p[i] = prefix[off]
+		} else {
+			p[i] = 'a'
+		}
+	}
+	b.read += int64(len(p))
+	return len(p), nil
+}
+
+// TestRequestBodyLimits: an over-limit POST body is refused with 413
+// after reading at most the limit, never buffered whole; malformed
+// JSON within the limit stays a 400.
+func TestRequestBodyLimits(t *testing.T) {
+	fx := newMinedFixture(t)
+	h := fx.srv.Handler()
+	post := func(path string, body io.Reader) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, body))
+		return rec.Code
+	}
+	for path, limit := range map[string]int64{
+		"/v1/patterns:batch": maxBatchBodyBytes,
+		"/v1/admin/remount":  maxRemountBodyBytes,
+	} {
+		body := &streamedBody{n: 100 << 20}
+		if code := post(path, body); code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: 100 MB body answered %d, want 413", path, code)
+		}
+		if body.read > limit+1 {
+			t.Fatalf("%s: server read %d bytes of a body capped at %d", path, body.read, limit)
+		}
+		if code := post(path, strings.NewReader(`{"codes": [`)); code != http.StatusBadRequest {
+			t.Fatalf("%s: malformed JSON answered %d, want 400", path, code)
+		}
+	}
+}
+
+// TestFanOutPanicStaysInLog: a worker panic in a handler's engine
+// fan-out answers 500 with a generic message; the goroutine stack
+// goes to the server log, never to the client.
+func TestFanOutPanicStaysInLog(t *testing.T) {
+	var logBuf bytes.Buffer
+	srv := New(nil, Options{Metrics: obs.NewRegistry(), Logger: obs.NewLogger(&logBuf, slog.LevelInfo)})
+	_, err := engine.MapCtx(context.Background(), 2, 2, func(context.Context, int) (int, error) {
+		panic("boom")
+	})
+	rec := httptest.NewRecorder()
+	srv.writeFanOutError(rec, httptest.NewRequest(http.MethodPost, "/v1/patterns:batch", nil), err)
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	if body := rec.Body.String(); strings.Contains(body, "goroutine") || strings.Contains(body, "boom") {
+		t.Fatalf("response body leaks the panic: %s", body)
+	}
+	if !strings.Contains(logBuf.String(), "boom") || !strings.Contains(logBuf.String(), "goroutine") {
+		t.Fatalf("server log lacks the panic and its stack: %s", logBuf.String())
+	}
 }
 
 // TestServeConcurrentRequests hammers every endpoint from many

@@ -1,8 +1,13 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -12,85 +17,9 @@ import (
 	"tnkd/internal/pattern"
 )
 
-// locatablePattern builds a random pattern whose embeddings reference
-// only vertices that exist in their transactions — the well-formed
-// mining output shape the location index is defined over (randPattern
-// from store_test.go deliberately produces dangling references to
-// exercise the opaque codec; those disable the index instead).
-func locatablePattern(rng *rand.Rand, edges int, txns []*graph.Graph) pattern.Pattern {
-	g := graph.New("pat")
-	nv := 1 + rng.Intn(3)
-	for i := 0; i < nv; i++ {
-		g.AddVertex(fmt.Sprintf("L%d", rng.Intn(3)))
-	}
-	for i := 0; i < edges; i++ {
-		g.AddEdge(graph.VertexID(rng.Intn(nv)), graph.VertexID(rng.Intn(nv)), "e")
-	}
-	var tids []int
-	for t := range txns {
-		if rng.Intn(2) == 0 {
-			tids = append(tids, t)
-		}
-	}
-	if len(tids) == 0 {
-		tids = []int{rng.Intn(len(txns))}
-	}
-	p := pattern.Pattern{Graph: g, Code: fmt.Sprintf("c%d:%x", edges, rng.Uint64()),
-		Support: len(tids), TIDs: pattern.TIDSetFromSlice(tids)}
-	if rng.Intn(4) == 0 {
-		// Some records store no lists: they land in the index's
-		// no-embeddings count, not under any label.
-		if rng.Intn(2) == 0 {
-			p.Overflowed = true
-		}
-		return p
-	}
-	p.Embs = make([][]iso.DenseEmbedding, len(tids))
-	for i, tid := range tids {
-		live := txns[tid].Vertices()
-		for j := 0; j < rng.Intn(3)+1; j++ {
-			verts := make([]graph.VertexID, nv)
-			for k := range verts {
-				verts[k] = live[rng.Intn(len(live))]
-			}
-			edgeIDs := make([]graph.EdgeID, edges)
-			for k := range edgeIDs {
-				edgeIDs[k] = graph.EdgeID(rng.Intn(8))
-			}
-			p.Embs[i] = append(p.Embs[i], iso.DenseEmbedding{Verts: verts, Edges: edgeIDs})
-		}
-	}
-	return p
-}
-
-func writeLocStore(t *testing.T, path string, layout int, txns []*graph.Graph, levels map[int][]pattern.Pattern) {
-	t.Helper()
-	w, err := Create(path, Meta{Name: "loc", Kind: "fsg", MinSupport: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if layout != FormatVersion {
-		if err := w.SetLayout(layout); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.WriteTransactions(txns); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteLevels(levels); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestLocationIndexMatchesLazyInversion is the v4↔v3 property: over
-// random well-formed stores, the persisted location index must equal
-// the inversion a reader computes record by record from the decoded
-// embeddings (the serving layer's lazy path), and the v3 encoding of
-// the same content must (a) carry no index and (b) dump
-// byte-identically — the index is purely additive.
+// TestLocationIndexMatchesLazyInversion: over random stores, the
+// persisted location index must equal the inversion computed after
+// the fact, record by record, from the decoded embeddings.
 func TestLocationIndexMatchesLazyInversion(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		rng := rand.New(rand.NewSource(int64(500 + trial)))
@@ -98,48 +27,28 @@ func TestLocationIndexMatchesLazyInversion(t *testing.T) {
 		txns := make([]*graph.Graph, numTxns)
 		for i := range txns {
 			txns[i] = randGraph(rng, fmt.Sprintf("t%d", i))
-			if txns[i].NumVertices() == 0 {
-				txns[i].AddVertex("L0")
-			}
 		}
 		levels := map[int][]pattern.Pattern{}
 		for edges := 1; edges <= 1+rng.Intn(3); edges++ {
 			n := 1 + rng.Intn(4)
 			for i := 0; i < n; i++ {
-				levels[edges] = append(levels[edges], locatablePattern(rng, edges, txns))
+				levels[edges] = append(levels[edges], randPattern(rng, edges, txns))
 			}
 		}
 
-		dir := t.TempDir()
-		v4Path := filepath.Join(dir, "v4.tnd")
-		v3Path := filepath.Join(dir, "v3.tnd")
-		writeLocStore(t, v4Path, FormatVersion, txns, levels)
-		writeLocStore(t, v3Path, 3, txns, levels)
-
-		r4, err := Open(v4Path)
+		path := filepath.Join(t.TempDir(), "loc.tnd")
+		writeStore(t, path, Meta{Name: "loc", Kind: "fsg", MinSupport: 1}, txns, levels)
+		r4, err := Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer r4.Close()
-		r3, err := Open(v3Path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r3.Close()
-
-		if r3.Version() != 3 {
-			t.Fatalf("trial %d: SetLayout(3) store opened as v%d", trial, r3.Version())
-		}
-		if _, _, ok := r3.LocationIndex(); ok {
-			t.Fatalf("trial %d: v3 store reports a persisted location index", trial)
-		}
 		byLabel, noEmb, ok := r4.LocationIndex()
 		if !ok {
-			t.Fatalf("trial %d: v4 store has no location index", trial)
+			t.Fatalf("trial %d: store has no location index", trial)
 		}
 
-		// Independent inversion from the decoded records — exactly
-		// what a lazy server computes.
+		// Independent inversion from the decoded records.
 		wantByLabel := map[string][]LocationHit{}
 		wantNoEmb := 0
 		for i := 0; i < r4.NumPatterns(); i++ {
@@ -160,10 +69,10 @@ func TestLocationIndexMatchesLazyInversion(t *testing.T) {
 			}
 		}
 		if noEmb != wantNoEmb {
-			t.Fatalf("trial %d: persisted noEmb=%d, lazy inversion %d", trial, noEmb, wantNoEmb)
+			t.Fatalf("trial %d: persisted noEmb=%d, inversion %d", trial, noEmb, wantNoEmb)
 		}
 		if len(byLabel) != len(wantByLabel) {
-			t.Fatalf("trial %d: persisted %d labels, lazy inversion %d", trial, len(byLabel), len(wantByLabel))
+			t.Fatalf("trial %d: persisted %d labels, inversion %d", trial, len(byLabel), len(wantByLabel))
 		}
 		for label, want := range wantByLabel {
 			got := byLabel[label]
@@ -173,33 +82,19 @@ func TestLocationIndexMatchesLazyInversion(t *testing.T) {
 			for i := range want {
 				if got[i].Record != want[i].Record || got[i].Occurrences != want[i].Occurrences ||
 					!got[i].TIDs.Equal(want[i].TIDs) {
-					t.Fatalf("trial %d label %q hit %d: persisted %+v (tids %v), lazy %+v (tids %v)",
+					t.Fatalf("trial %d label %q hit %d: persisted %+v (tids %v), inversion %+v (tids %v)",
 						trial, label, i, got[i], got[i].TIDs.Slice(), want[i], want[i].TIDs.Slice())
 				}
 			}
 		}
-
-		// The index is additive: mining content identical across v3/v4.
-		d3, err := DumpPatterns(r3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d4, err := DumpPatterns(r4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d3 != d4 {
-			t.Fatalf("trial %d: v3 and v4 dumps diverge", trial)
-		}
 	}
 }
 
-// TestLocationIndexDisabledOnDanglingEmbeddings: a record whose
-// embeddings reference vertices missing from their transaction still
-// round-trips (the codec treats embeddings as opaque), but the
-// optional index section is dropped for the whole store and the stats
-// report says so.
-func TestLocationIndexDisabledOnDanglingEmbeddings(t *testing.T) {
+// TestWriterRejectsDanglingEmbeddings: a record whose embeddings
+// reference a vertex missing from its transaction cannot be located,
+// so WriteLevel refuses it instead of writing a store without its
+// location index.
+func TestWriterRejectsDanglingEmbeddings(t *testing.T) {
 	txn := graph.New("t0")
 	txn.AddVertex("A")
 	g := graph.New("pat")
@@ -208,73 +103,60 @@ func TestLocationIndexDisabledOnDanglingEmbeddings(t *testing.T) {
 	p := pattern.Pattern{Graph: g, Code: "dangling", Support: 1, TIDs: pattern.NewTIDSet(0),
 		Embs: [][]iso.DenseEmbedding{{{Verts: []graph.VertexID{99}, Edges: []graph.EdgeID{0}}}}}
 
-	path := filepath.Join(t.TempDir(), "dangling.tnd")
-	w, err := Create(path, Meta{Name: "dangling"})
+	w, err := Create(tmpStore(t), Meta{Name: "dangling"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer w.Abort()
 	if err := w.WriteTransactions([]*graph.Graph{txn}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteLevel(1, []pattern.Pattern{p}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if _, _, ok := r.LocationIndex(); ok {
-		t.Fatal("store with dangling embeddings kept a location index")
-	}
-	got, err := r.Pattern(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Embs) != 1 || got.Embs[0][0].Verts[0] != 99 {
-		t.Fatalf("dangling embedding did not round-trip: %+v", got.Embs)
-	}
-	if s := ReadStats(r).String(); !strings.Contains(s, "location index: absent (some embeddings could not be inverted") {
-		t.Fatalf("stats missing the disabled-index caption:\n%s", s)
+	err = w.WriteLevel(1, []pattern.Pattern{p})
+	if err == nil || !strings.Contains(err.Error(), "missing vertex 99") {
+		t.Fatalf("want a missing-vertex error, got %v", err)
 	}
 }
 
-// TestSetLayoutContract pins the exported legacy-synthesis hook: only
-// before writing, only within the writable range, and the header
-// version follows the layout.
-func TestSetLayoutContract(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "layout.tnd")
-	w, err := Create(path, Meta{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.SetLayout(1); err == nil {
-		t.Fatal("SetLayout(1) accepted (v1 needs layout 2 plus a header patch)")
-	}
-	if err := w.SetLayout(FormatVersion + 1); err == nil {
-		t.Fatal("SetLayout accepted a future version")
-	}
-	if err := w.SetLayout(3); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteTransactions(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.SetLayout(3); err == nil {
-		t.Fatal("SetLayout accepted after WriteTransactions")
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+// TestRejectStoreWithoutLocationIndex: a v4 file whose location-index
+// presence byte is 0 (older writers emitted one when some embeddings
+// could not be inverted) fails Open and Recover with the re-mine
+// error. The file is synthesized from a valid store by replacing the
+// index section with the bare 0 byte and resealing the footer.
+func TestRejectStoreWithoutLocationIndex(t *testing.T) {
+	path := validStorePath(t)
 	r, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
-	if r.Version() != 3 {
-		t.Fatalf("SetLayout(3) store opened as v%d", r.Version())
+	byLabel, noEmb, _ := r.LocationIndex()
+	var sec enc
+	encodeLocIndex(&sec, byLabel, noEmb)
+	r.Close()
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := data[len(data)-trailerSize:]
+	idxOff := binary.LittleEndian.Uint64(tr[0:])
+	idx := data[idxOff : len(data)-trailerSize]
+	if !bytes.HasSuffix(idx, sec.buf) {
+		t.Fatal("footer index does not end with the location-index section")
+	}
+	idx = append(idx[:len(idx)-len(sec.buf):len(idx)-len(sec.buf)], 0)
+	out := append(data[:idxOff:idxOff], idx...)
+	out = binary.LittleEndian.AppendUint64(out, idxOff)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(idx)))
+	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(idx))
+	out = append(out, endMagic...)
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, open := range map[string]func(string) (*Reader, error){"Open": Open, "Recover": Recover} {
+		_, err := open(path)
+		if !errors.Is(err, errRemine) || !strings.Contains(err.Error(), "location index") ||
+			!strings.Contains(err.Error(), "re-mine") {
+			t.Fatalf("%s of an indexless store: want a location-index re-mine error, got %v", name, err)
+		}
 	}
 }

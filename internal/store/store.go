@@ -44,6 +44,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -59,46 +60,28 @@ const (
 	// endMagic closes every complete store file; its absence means
 	// the writing run died before Close.
 	endMagic = "TNDSTEND"
-	// FormatVersion is the version written by this build. Version
-	// history:
-	//
-	//	1  original layout; pattern codes are the pre-canonical
-	//	   miners' quasi-canonical strings — approximate "~"-prefixed
-	//	   codes may collide between non-isomorphic patterns, so code
-	//	   lookups bucket and callers disambiguate with
-	//	   pattern.SameGraph.
-	//	2  identical byte layout; pattern codes are exact canonical
-	//	   codes (iso.Code) — equal code ⟺ isomorphic, so code lookup
-	//	   is an exact map hit with no disambiguation.
-	//	3  pattern records move the flags byte before the TID column,
-	//	   the column becomes self-describing (delta-coded list or
-	//	   roaring-style bitset containers, whichever is smaller — see
-	//	   encodeTIDColumn), and overflowed records with lists may
-	//	   carry a second column marking which per-TID lists are seeds
-	//	   (pattern.Pattern.Partial). Graph, code, support and
-	//	   embedding encodings are unchanged, so transaction records —
-	//	   and therefore delta-prefix verification — are byte-identical
-	//	   across v2/v3.
-	//	4  record and transaction layouts identical to v3; the footer
-	//	   index gains a per-location inverted index section after the
-	//	   level directory (vertex label -> records whose stored
-	//	   embeddings touch it, with occurrence counts and TID
-	//	   columns — see encodeLocIndex). The writer computes the
-	//	   section from the embeddings it is already serialising, so
-	//	   servers mount new stores instantly warm instead of paying a
-	//	   full-store scan on the first location query; v3-and-older
-	//	   stores fall back to that lazy scan.
-	//
-	// Readers accept versions [MinReadVersion, FormatVersion] and
-	// expose the opened version via Reader.Version so serving layers
-	// can keep the legacy disambiguation path for v1 stores.
+	// FormatVersion is the only version this build reads or writes.
+	// A v4 pattern record holds graph, code, support, a flags byte,
+	// the self-describing TID column (delta-coded list or roaring-style
+	// bitset containers, whichever is smaller — see encodeTIDColumn),
+	// the embedding section and, on overflowed records that keep seed
+	// lists, a second column marking which per-TID lists are seeds
+	// (pattern.Pattern.Partial). The footer index ends with the
+	// per-location inverted index the writer computes from the
+	// embeddings it serialises (see encodeLocIndex). Stores are derived
+	// artifacts: a file at any other version fails Open with a request
+	// to re-mine it.
 	FormatVersion = 4
-	// MinReadVersion is the oldest version Open still reads.
-	MinReadVersion = 1
 
 	headerSize  = len(magic) + 4
 	trailerSize = 8 + 8 + 4 + len(endMagic)
 )
+
+// errRemine marks a store this build does not read: a header version
+// other than FormatVersion, or a v4 file written without its location
+// index. Stores are derived artifacts, so the remedy is always to
+// mine them again.
+var errRemine = errors.New("re-mine it with this build")
 
 // Meta is the run-level metadata persisted with a store. It is JSON
 // in the index block, so fields can grow without a format-version
@@ -188,11 +171,11 @@ type Meta struct {
 const (
 	flagHasEmbs    = 1 << 0 // Embs lists present (complete or seeds)
 	flagOverflowed = 1 << 1 // some lists are seeds / absent, not complete
-	// v3 additions. flagTIDBitset mirrors the TID column's on-disk
-	// encoding choice (the column is self-describing; the flag copy
-	// makes the encoding visible from the footer index alone, for
-	// tndstats). flagPartial announces the per-TID completeness
-	// column after the embedding section.
+	// flagTIDBitset mirrors the TID column's on-disk encoding choice
+	// (the column is self-describing; the flag copy makes the encoding
+	// visible from the footer index alone, for tndstats). flagPartial
+	// announces the per-TID completeness column after the embedding
+	// section.
 	flagTIDBitset = 1 << 2 // TID column stored as bitset containers
 	flagPartial   = 1 << 3 // per-TID partial-completeness column present
 )
@@ -554,33 +537,16 @@ func decodeTIDColumn(d *dec) (pattern.TIDSet, tidColumnInfo) {
 
 // --- pattern codec ---
 
-// encodePattern serialises one pattern record in the given layout
-// version and returns the flags byte written (the index stores a
-// copy). Layout 3 — the current one — writes graph, code, support,
+// encodePattern serialises one pattern record and returns the flags
+// byte written (the index stores a copy): graph, code, support,
 // flags, the self-describing TID column, the embedding section, then
-// the Partial column when flagPartial is set. Layout 2 (kept for the
-// compat tests that synthesize legacy stores) writes the historical
-// order — TID list as a plain delta-coded list, then flags, then
-// embeddings — and cannot represent per-TID partial marks.
-// Embedding lists are written as flat uvarint runs, one list per TID,
-// identically in both layouts.
-func encodePattern(e *enc, p *pattern.Pattern, layout int) byte {
+// the Partial column when flagPartial is set. Embedding lists are
+// written as flat uvarint runs, one list per TID.
+func encodePattern(e *enc, p *pattern.Pattern) byte {
 	encodeGraph(e, p.Graph)
 	e.str(p.Code)
 	e.uvarint(uint64(p.Support))
 	flags := patternFlags(p)
-	if layout < 3 {
-		flags &= flagHasEmbs | flagOverflowed
-		e.uvarint(uint64(p.TIDs.Len()))
-		prev := 0
-		for tid := range p.TIDs.Values() {
-			e.uvarint(uint64(tid - prev))
-			prev = tid
-		}
-		e.byte(flags)
-		encodeEmbSection(e, p)
-		return flags
-	}
 	// The flags byte must precede the column it describes, so decide
 	// the encoding (a size computation, no second buffer) first.
 	listSize, bitsetSize := tidColumnSizes(p.TIDs)
@@ -618,43 +584,21 @@ func encodeEmbSection(e *enc, p *pattern.Pattern) {
 // decodePatternHead rebuilds everything up to the embedding section —
 // graph, code, support, flags, TID column — leaving the decoder
 // positioned at the embedding section (if the flags announce one).
-// On overflowed legacy records (version < 3) with lists, every list
-// is conservatively marked partial: the legacy writers demoted
-// wholesale, so that is also exact.
-func decodePatternHead(d *dec, version int) (*pattern.Pattern, byte, tidColumnInfo) {
+func decodePatternHead(d *dec) (*pattern.Pattern, byte, tidColumnInfo) {
 	p := &pattern.Pattern{Graph: decodeGraph(d)}
 	p.Code = d.str()
 	p.Support = int(d.uvarint())
 	if d.err != nil {
 		return nil, 0, tidColumnInfo{}
 	}
-	if version >= 3 {
-		flags := d.byte()
-		p.Overflowed = flags&flagOverflowed != 0
-		tids, info := decodeTIDColumn(d)
-		p.TIDs = tids
-		return p, flags, info
-	}
-	start := d.off
-	n := d.count()
-	if d.err != nil {
-		return nil, 0, tidColumnInfo{}
-	}
-	prev := 0
-	for i := 0; i < n; i++ {
-		prev += int(d.uvarint())
-		p.TIDs.Add(prev)
-	}
-	info := tidColumnInfo{bytes: d.off - start}
 	flags := d.byte()
 	p.Overflowed = flags&flagOverflowed != 0
-	if p.Overflowed && flags&flagHasEmbs != 0 {
-		p.Partial = p.TIDs.Clone()
-	}
+	tids, info := decodeTIDColumn(d)
+	p.TIDs = tids
 	return p, flags, info
 }
 
-// --- location index codec (format v4) ---
+// --- location index codec ---
 
 // LocationHit is one entry of the persisted per-location inverted
 // index: a pattern record whose stored embeddings touch the label,
@@ -678,18 +622,13 @@ type locIndex struct {
 	bytes   int // encoded size, for the stats report
 }
 
-// encodeLocIndex serialises the section: a presence byte (the section
-// is optional — a writer that cannot invert a record's embeddings,
-// e.g. because they dangle outside their transactions, omits the
-// index and lets servers fall back to the lazy build), then the
+// encodeLocIndex serialises the section: a presence byte (always 1;
+// Open rejects a store whose byte is 0, which older writers emitted
+// when they could not invert some record's embeddings), then the
 // no-embeddings record count, then per label (ascending) its hit list
 // with delta-coded record indices, occurrence counts and
 // self-describing TID columns.
-func encodeLocIndex(e *enc, byLabel map[string][]LocationHit, noEmb int, present bool) {
-	if !present {
-		e.byte(0)
-		return
-	}
+func encodeLocIndex(e *enc, byLabel map[string][]LocationHit, noEmb int) {
 	e.byte(1)
 	e.uvarint(uint64(noEmb))
 	labels := make([]string, 0, len(byLabel))
@@ -715,22 +654,24 @@ func encodeLocIndex(e *enc, byLabel map[string][]LocationHit, noEmb int, present
 // decodeLocIndex rebuilds the section, validating every hit against
 // the already-parsed record and transaction counts — a store is
 // external input, so a corrupt index must fail Open, not serve
-// out-of-range record references.
-func decodeLocIndex(d *dec, numRecs, numTxns int) (locIndex, bool) {
+// out-of-range record references. A presence byte of 0 (a store
+// written without the section) fails with errRemine.
+func decodeLocIndex(d *dec, numRecs, numTxns int) locIndex {
 	start := d.off
 	idx := locIndex{byLabel: map[string][]LocationHit{}}
 	switch present := d.byte(); present {
 	case 0:
-		return idx, false
+		d.fail("store: written without a location index — %w", errRemine)
+		return idx
 	case 1:
 	default:
 		d.fail("store: corrupt location index (presence byte %d)", present)
-		return idx, false
+		return idx
 	}
 	noEmb := d.uvarint()
 	if d.err == nil && noEmb > uint64(numRecs) {
 		d.fail("store: corrupt location index (%d no-embedding records of %d)", noEmb, numRecs)
-		return idx, false
+		return idx
 	}
 	idx.noEmb = int(noEmb)
 	nLabels := d.count()
@@ -770,14 +711,14 @@ func decodeLocIndex(d *dec, numRecs, numTxns int) (locIndex, bool) {
 		}
 	}
 	idx.bytes = d.off - start
-	return idx, d.err == nil
+	return idx
 }
 
 // invertEmbeddings computes one record's contribution to the
 // location index: for every vertex label its stored embeddings touch,
-// the occurrence count and supporting TIDs — exactly the inversion
-// the serving layer's lazy scan performs, done once at write time.
-// txn resolves a TID to its transaction graph. Records storing no
+// the occurrence count and supporting TIDs. The writer runs it once
+// per record, so every store carries its location index. txn
+// resolves a TID to its transaction graph. Records storing no
 // embeddings return nil (they cannot be located without re-matching).
 func invertEmbeddings(p *pattern.Pattern, rec int, txn func(tid int) (*graph.Graph, error)) (map[string]*LocationHit, error) {
 	if p.NumEmbeddings() == 0 {
@@ -830,8 +771,8 @@ func invertEmbeddings(p *pattern.Pattern, rec int, txn func(tid int) (*graph.Gra
 // decodePattern rebuilds one pattern record. Per-TID lists written
 // empty decode as nil slots inside a non-nil Embs, preserving the
 // HasSeeds/HasEmbeddings semantics of the in-memory store.
-func decodePattern(d *dec, version int) *pattern.Pattern {
-	p, flags, _ := decodePatternHead(d, version)
+func decodePattern(d *dec) *pattern.Pattern {
+	p, flags, _ := decodePatternHead(d)
 	if p == nil || flags&flagHasEmbs == 0 || d.err != nil {
 		return p
 	}
@@ -867,7 +808,7 @@ func decodePattern(d *dec, version int) *pattern.Pattern {
 		}
 		p.Embs[i] = list
 	}
-	if version >= 3 && flags&flagPartial != 0 {
+	if flags&flagPartial != 0 {
 		p.Partial, _ = decodeTIDColumn(d)
 	}
 	return p

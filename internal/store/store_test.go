@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -37,10 +38,13 @@ func randGraph(rng *rand.Rand, name string) *graph.Graph {
 	return g
 }
 
-// randPattern builds a random pattern record exercising every flag
-// combination: nil lists, seed lists, complete lists, empty per-TID
-// lists, exact and "~"-approximate codes.
-func randPattern(rng *rand.Rand, edges, numTxns int) pattern.Pattern {
+// randPattern builds a random pattern record over txns exercising
+// every flag combination: nil lists, seed lists, complete lists,
+// empty per-TID lists, per-TID Partial marks, and both opaque "~…"
+// and exact-style code strings (the codec never interprets a code).
+// Embedding vertices are drawn from each transaction's live vertices,
+// so every record can be inverted into the location index.
+func randPattern(rng *rand.Rand, edges int, txns []*graph.Graph) pattern.Pattern {
 	g := graph.New("pat")
 	nv := 1 + rng.Intn(4)
 	for i := 0; i < nv; i++ {
@@ -49,27 +53,27 @@ func randPattern(rng *rand.Rand, edges, numTxns int) pattern.Pattern {
 	for i := 0; i < edges; i++ {
 		g.AddEdge(graph.VertexID(rng.Intn(nv)), graph.VertexID(rng.Intn(nv)), "e")
 	}
-	code := fmt.Sprintf("~%x", rng.Uint64()) // fsg-style approximate code
+	code := fmt.Sprintf("~%x", rng.Uint64())
 	if rng.Intn(3) == 0 {
-		code = fmt.Sprintf("v%d:exact(%d)", nv, rng.Intn(100)) // exact-style code
+		code = fmt.Sprintf("v%d:exact(%d)", nv, rng.Intn(100))
 	}
 	var tids []int
-	for t := 0; t < numTxns; t++ {
+	for t := range txns {
 		if rng.Intn(2) == 0 {
 			tids = append(tids, t)
 		}
 	}
 	if len(tids) == 0 {
-		tids = []int{rng.Intn(numTxns)}
+		tids = []int{rng.Intn(len(txns))}
 	}
 	p := pattern.Pattern{Graph: g, Code: code, Support: len(tids), TIDs: pattern.TIDSetFromSlice(tids)}
 	switch rng.Intn(4) {
 	case 0: // no lists, overflowed (DropEmbeddings shape)
 		p.Overflowed = true
 	case 1: // complete lists, possibly with empty per-TID slots
-		p.Embs = randEmbs(rng, len(tids), nv, edges, true)
+		p.Embs = randEmbs(rng, tids, txns, nv, edges, true)
 	case 2: // seed lists (budget-overflowed pattern)
-		p.Embs = randEmbs(rng, len(tids), nv, edges, false)
+		p.Embs = randEmbs(rng, tids, txns, nv, edges, false)
 		p.Overflowed = true
 		if rng.Intn(2) == 0 {
 			// Per-TID partial retention: mark a nonempty subset of the
@@ -88,9 +92,12 @@ func randPattern(rng *rand.Rand, edges, numTxns int) pattern.Pattern {
 	return p
 }
 
-func randEmbs(rng *rand.Rand, n, nv, ne int, allowEmpty bool) [][]iso.DenseEmbedding {
-	out := make([][]iso.DenseEmbedding, n)
-	for i := range out {
+// randEmbs builds one embedding list per TID whose vertices are live
+// vertices of that transaction.
+func randEmbs(rng *rand.Rand, tids []int, txns []*graph.Graph, nv, ne int, allowEmpty bool) [][]iso.DenseEmbedding {
+	out := make([][]iso.DenseEmbedding, len(tids))
+	for i, tid := range tids {
+		live := txns[tid].Vertices()
 		cnt := rng.Intn(4)
 		if !allowEmpty && cnt == 0 {
 			cnt = 1
@@ -98,7 +105,7 @@ func randEmbs(rng *rand.Rand, n, nv, ne int, allowEmpty bool) [][]iso.DenseEmbed
 		for j := 0; j < cnt; j++ {
 			verts := make([]graph.VertexID, nv)
 			for k := range verts {
-				verts[k] = graph.VertexID(rng.Intn(50))
+				verts[k] = live[rng.Intn(len(live))]
 			}
 			edges := make([]graph.EdgeID, ne)
 			for k := range edges {
@@ -202,7 +209,7 @@ func writeStore(t *testing.T, path string, meta Meta, txns []*graph.Graph, level
 // TestRoundTripProperty drives the codec with randomised patterns
 // covering every storage shape: save→load must reproduce
 // byte-identical graphs, codes, TID lists and dense embeddings,
-// including "~"-approximate codes and budget-overflowed patterns with
+// including opaque "~…" codes and budget-overflowed patterns with
 // empty or absent lists.
 func TestRoundTripProperty(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
@@ -216,7 +223,7 @@ func TestRoundTripProperty(t *testing.T) {
 		for _, edges := range []int{1, 2, 3} {
 			n := rng.Intn(5)
 			for i := 0; i < n; i++ {
-				levels[edges] = append(levels[edges], randPattern(rng, edges, numTxns))
+				levels[edges] = append(levels[edges], randPattern(rng, edges, txns))
 			}
 			if len(levels[edges]) == 0 {
 				delete(levels, edges)
@@ -356,7 +363,7 @@ func validStorePath(t *testing.T) string {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	txns := []*graph.Graph{randGraph(rng, "t0"), randGraph(rng, "t1")}
-	pats := map[int][]pattern.Pattern{1: {randPattern(rng, 1, 2)}}
+	pats := map[int][]pattern.Pattern{1: {randPattern(rng, 1, txns)}}
 	path := tmpStore(t)
 	writeStore(t, path, Meta{Name: "v"}, txns, pats)
 	return path
@@ -389,16 +396,66 @@ func TestRejectWrongMagic(t *testing.T) {
 	}
 }
 
-// TestRejectWrongVersion: an unknown format version must be rejected
-// with both versions named.
+// TestRejectWrongVersion: a store from an older format (v1–v3)
+// fails Open and Recover with an error asking for a re-mine, never a
+// guessed decode.
 func TestRejectWrongVersion(t *testing.T) {
 	path := validStorePath(t)
+	for _, version := range []uint32{1, 2, 3} {
+		patchVersion(t, path, version)
+		for name, open := range map[string]func(string) (*Reader, error){"Open": Open, "Recover": Recover} {
+			if _, err := open(path); !errors.Is(err, errRemine) || !strings.Contains(err.Error(), "re-mine") {
+				t.Fatalf("%s of a v%d store: want the re-mine error, got %v", name, version, err)
+			}
+		}
+	}
+}
+
+// TestRejectUnknownVersionNamesRange: versions this build never wrote
+// fail with the offending version and the one readable version named.
+func TestRejectUnknownVersionNamesRange(t *testing.T) {
+	path := validStorePath(t)
+	for _, version := range []uint32{0, FormatVersion + 5} {
+		patchVersion(t, path, version)
+		_, err := Open(path)
+		if err == nil {
+			t.Fatalf("opened a version-%d store", version)
+		}
+		for _, want := range []string{fmt.Sprintf("version %d", version), "reads only version 4"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not name %q", err, want)
+			}
+		}
+	}
+}
+
+// patchVersion rewrites the format-version field of a store file in
+// place — the uint32 following the magic.
+func patchVersion(t *testing.T, path string, version uint32) {
+	t.Helper()
 	var v [4]byte
-	binary.LittleEndian.PutUint32(v[:], FormatVersion+7)
+	binary.LittleEndian.PutUint32(v[:], version)
 	corrupt(t, path, int64(len(magic)), v[:])
-	_, err := Open(path)
-	if err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("want version error, got %v", err)
+}
+
+// TestCurrentWriterProducesCurrentVersion: a fresh store carries
+// FormatVersion in its header and reports it in the stats.
+func TestCurrentWriterProducesCurrentVersion(t *testing.T) {
+	path := validStorePath(t)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(data[len(magic):]); v != FormatVersion {
+		t.Fatalf("header version %d, want %d", v, FormatVersion)
+	}
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if st := ReadStats(r); st.Version != FormatVersion || !st.LocIndex.Present {
+		t.Fatalf("stats version %d, location index present %v", st.Version, st.LocIndex.Present)
 	}
 }
 
@@ -439,8 +496,8 @@ func TestRejectTruncated(t *testing.T) {
 func TestCheckpointRecovery(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	txns := []*graph.Graph{randGraph(rng, "t0"), randGraph(rng, "t1"), randGraph(rng, "t2")}
-	level1 := []pattern.Pattern{randPattern(rng, 1, 3), randPattern(rng, 1, 3)}
-	level2 := []pattern.Pattern{randPattern(rng, 2, 3)}
+	level1 := []pattern.Pattern{randPattern(rng, 1, txns), randPattern(rng, 1, txns)}
+	level2 := []pattern.Pattern{randPattern(rng, 2, txns)}
 
 	path := tmpStore(t)
 	w, err := Create(path, Meta{Name: "crashy", Kind: "fsg"})
