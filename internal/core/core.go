@@ -14,7 +14,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"log/slog"
 	"math/rand"
@@ -23,7 +22,6 @@ import (
 
 	"tnkd/internal/bin"
 	"tnkd/internal/dataset"
-	"tnkd/internal/engine"
 	"tnkd/internal/fsg"
 	"tnkd/internal/graph"
 	"tnkd/internal/partition"
@@ -56,10 +54,10 @@ type StructuralOptions struct {
 	MaxEmbeddings int
 	// Seed drives the random partitionings.
 	Seed int64
-	// Parallelism is the worker count: the m repetitions mine
-	// concurrently, and each repetition's support counting fans out
-	// on the same setting. <= 0 selects GOMAXPROCS; 1 runs fully
-	// serial. Results are identical for every value.
+	// Parallelism is the worker count: the m repetitions mine one
+	// after another, and every FSG level of each fans out on all of
+	// it (see fsg.Options.Parallelism). <= 0 selects GOMAXPROCS; 1
+	// runs fully serial. Results are identical for every value.
 	Parallelism int
 	// StorePath, when non-empty, persists the run to an
 	// internal/store file: the transaction set is the concatenation
@@ -82,9 +80,9 @@ type StructuralOptions struct {
 	// Progress, when non-nil, receives one event per completed
 	// Apriori level of every repetition's FSG run, tagged with the
 	// repetition index (a delta run indexes only the added
-	// repetitions). Repetitions mine concurrently, so events from
-	// different repetitions interleave and the callback must be safe
-	// for concurrent use.
+	// repetitions). Repetitions mine in order on the calling
+	// goroutine, so every event of repetition r arrives before any of
+	// r+1, each repetition's levels in order.
 	Progress func(rep int, ev fsg.LevelProgress)
 }
 
@@ -157,11 +155,10 @@ func MineStructural(g *graph.Graph, opts StructuralOptions) (*StructuralResult, 
 	rng := rand.New(rand.NewSource(opts.Seed))
 	res := &StructuralResult{}
 
-	// Draw all m partitionings serially first — they consume the
-	// shared RNG stream, and drawing them in repetition order keeps
-	// the partitionings (and therefore the mining output) identical
-	// to a fully serial run. The expensive part, one FSG run per
-	// partitioning, then fans out across the engine pool.
+	// Draw all m partitionings first, in repetition order — they
+	// consume the shared RNG stream. The expensive part, one FSG run
+	// per partitioning, then fans out level by level on the engine
+	// pool.
 	partitionings := make([][]*graph.Graph, opts.Repetitions)
 	for rep := range partitionings {
 		partitionings[rep] = partition.SplitGraph(g, partition.SplitOptions{
@@ -274,40 +271,32 @@ func mineStructuralDelta(g *graph.Graph, opts StructuralOptions) (*StructuralRes
 	return res, nil
 }
 
-// mineRepetitionSet mines one FSG run per partitioning on the engine
-// pool, splitting the worker budget between the two fan-out levels so
-// the total stays at the requested Parallelism: with p workers and m
-// partitionings, min(p, m) repetitions run at once and each FSG run
-// gets the remaining p/min(p,m) workers for support counting.
+// mineRepetitionSet mines one FSG run per partitioning, in
+// repetition order, each with all opts.Parallelism workers: every FSG
+// level fans out end to end, so one level of fan-out keeps the whole
+// worker count busy, and the repetitions' intermediate candidate sets
+// are never live at once.
 func mineRepetitionSet(partitionings [][]*graph.Graph, opts StructuralOptions) ([]*fsg.Result, error) {
-	p := engine.Parallelism(opts.Parallelism)
-	outer := p
-	if outer > len(partitionings) {
-		outer = len(partitionings)
+	runs := make([]*fsg.Result, len(partitionings))
+	for rep, txns := range partitionings {
+		fo := fsg.Options{
+			MinSupport:    opts.Support,
+			MaxEdges:      opts.MaxEdges,
+			MaxSteps:      opts.MaxSteps,
+			MaxCandidates: opts.MaxCandidates,
+			MaxEmbeddings: opts.MaxEmbeddings,
+			Parallelism:   opts.Parallelism,
+		}
+		if opts.Progress != nil {
+			fo.Progress = func(ev fsg.LevelProgress) { opts.Progress(rep, ev) }
+		}
+		runRes, err := fsg.Mine(txns, fo)
+		if err != nil {
+			return nil, fmt.Errorf("core: repetition %d: %w", rep, err)
+		}
+		runs[rep] = runRes
 	}
-	inner := p / outer
-	if inner < 1 {
-		inner = 1
-	}
-	return engine.MapCtx(context.Background(), outer, len(partitionings),
-		func(_ context.Context, rep int) (*fsg.Result, error) {
-			fo := fsg.Options{
-				MinSupport:    opts.Support,
-				MaxEdges:      opts.MaxEdges,
-				MaxSteps:      opts.MaxSteps,
-				MaxCandidates: opts.MaxCandidates,
-				MaxEmbeddings: opts.MaxEmbeddings,
-				Parallelism:   inner,
-			}
-			if opts.Progress != nil {
-				fo.Progress = func(ev fsg.LevelProgress) { opts.Progress(rep, ev) }
-			}
-			runRes, err := fsg.Mine(partitionings[rep], fo)
-			if err != nil {
-				return nil, fmt.Errorf("core: repetition %d: %w", rep, err)
-			}
-			return runRes, nil
-		})
+	return runs, nil
 }
 
 // structuralUnion accumulates the cross-repetition union, keyed by

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tnkd/internal/dataset"
+	"tnkd/internal/fsg"
 	"tnkd/internal/partition"
 )
 
@@ -21,6 +22,9 @@ func renderStructural(r *StructuralResult) string {
 	for _, run := range r.PerRun {
 		fmt.Fprintf(&b, "run patterns=%d aborted=%v budgeted=%d\n",
 			len(run.Patterns), run.Aborted, run.BudgetedTests)
+		for _, lv := range run.Levels {
+			fmt.Fprintf(&b, "level %+v\n", lv)
+		}
 	}
 	return b.String()
 }
@@ -41,16 +45,16 @@ func renderTemporal(r *TemporalMineResult) string {
 }
 
 // TestMineStructuralDeterministicAcrossParallelism asserts that
-// Algorithm 1 produces bit-identical output at Parallelism 1, 4 and
-// GOMAXPROCS (the m repetitions and their support counting both fan
-// out on the engine pool).
+// Algorithm 1 produces bit-identical output at Parallelism 1, 2, 3, 4
+// and GOMAXPROCS (every FSG level of each repetition fans out on the
+// engine pool; 2 and 3 are fewer workers than the 3 repetitions).
 func TestMineStructuralDeterministicAcrossParallelism(t *testing.T) {
 	data := dataset.Generate(dataset.DefaultConfig().Scaled(0.02))
 	g := data.BuildGraph(dataset.GraphOptions{
 		Attr: dataset.TransitHours, Vertices: dataset.UniformLabels,
 	})
 	var want string
-	for _, p := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+	for _, p := range []int{1, 2, 3, 4, runtime.GOMAXPROCS(0)} {
 		res, err := MineStructural(g, StructuralOptions{
 			Strategy:    partition.BreadthFirst,
 			Partitions:  12,
@@ -76,15 +80,56 @@ func TestMineStructuralDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
+// TestStructuralProgressInRepetitionOrder: with more workers than
+// repetitions, progress still arrives as every level of repetition 0,
+// then of 1, then of 2, each repetition's levels in order and matching
+// its PerRun stats.
+func TestStructuralProgressInRepetitionOrder(t *testing.T) {
+	data := dataset.Generate(dataset.DefaultConfig().Scaled(0.02))
+	g := data.BuildGraph(dataset.GraphOptions{
+		Attr: dataset.TransitHours, Vertices: dataset.UniformLabels,
+	})
+	type event struct{ rep, edges int }
+	var events []event
+	res, err := MineStructural(g, StructuralOptions{
+		Strategy:    partition.BreadthFirst,
+		Partitions:  12,
+		Repetitions: 3,
+		Support:     4,
+		MaxEdges:    3,
+		MaxSteps:    50000,
+		Seed:        11,
+		Parallelism: 4,
+		Progress: func(rep int, ev fsg.LevelProgress) {
+			events = append(events, event{rep, ev.Edges})
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []event
+	for rep, run := range res.PerRun {
+		for _, lv := range run.Levels {
+			want = append(want, event{rep, lv.Edges})
+		}
+	}
+	if len(res.PerRun) != 3 || len(want) <= len(res.PerRun) {
+		t.Fatalf("fixture too small: %d runs, %d levels", len(res.PerRun), len(want))
+	}
+	if fmt.Sprint(events) != fmt.Sprint(want) {
+		t.Errorf("progress events (rep, edges) = %v, want %v", events, want)
+	}
+}
+
 // TestMineTemporalDeterministicAcrossParallelism asserts the Section
-// 6 pipeline (parallel per-day batch construction + parallel support
-// counting) is bit-identical at every Parallelism.
+// 6 pipeline (parallel per-day batch construction + per-level FSG
+// fan-out) is bit-identical at every Parallelism.
 func TestMineTemporalDeterministicAcrossParallelism(t *testing.T) {
 	data := dataset.Generate(dataset.DefaultConfig().Scaled(0.02))
 	opts := DefaultTemporalMineOptions()
 	opts.Partition.MaxVertexLabels = 12
 	var want string
-	for _, p := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+	for _, p := range []int{1, 2, 3, 4, runtime.GOMAXPROCS(0)} {
 		opts.Parallelism = p
 		opts.Partition.Parallelism = 0 // let MineTemporal propagate
 		res, err := MineTemporal(data, opts)

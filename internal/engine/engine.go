@@ -29,11 +29,13 @@ import (
 // behind the pool, how much is executing right now, and how much has
 // ever completed. Every MapCtx call (and Map, which wraps it)
 // contributes; early error/cancellation exits return their unclaimed
-// remainder so the gauges settle back to zero.
+// remainder so the gauges settle back to zero. tasksPanicked counts
+// the worker panics MapCtx recovered.
 var (
 	tasksQueued   = obs.Default.Gauge("tnd_engine_tasks_queued")
 	tasksInFlight = obs.Default.Gauge("tnd_engine_tasks_inflight")
 	tasksTotal    = obs.Default.Counter("tnd_engine_tasks_total")
+	tasksPanicked = obs.Default.Counter("tnd_engine_panics_total")
 )
 
 // taskMeter tracks one MapCtx call's contribution to the pool gauges.
@@ -100,11 +102,14 @@ func Map[T any](p, n int, fn func(i int) T) []T {
 
 // MapCtx is Map with cancellation: fn receives a context that is
 // cancelled as soon as any call returns a non-nil error (or the
-// parent context is cancelled), remaining indices are skipped, and
-// the first error in input order is returned. On success every slot
-// of the result is filled and the slice is in input order. A panic in
-// fn on a worker goroutine is recovered and returned as that index's
-// error (wrapping ErrPanic, stack included), so it cancels the call
+// parent context is cancelled), and the first error in input order
+// is returned. After an error only the indices above the lowest
+// failed one are skipped — a lower index still runs, so its error, if
+// any, is the one reported; parent cancellation stops all work. On
+// success every slot of the result is filled and the slice is in
+// input order. A panic in fn on a worker goroutine is recovered and
+// returned as that index's error (wrapping ErrPanic, stack included)
+// and counted on tnd_engine_panics_total, so it cancels the call
 // instead of killing the process (the inline p == 1 path panics in
 // the caller's goroutine, as any direct call would).
 func MapCtx[T any](ctx context.Context, p, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
@@ -140,9 +145,10 @@ func MapCtx[T any](ctx context.Context, p, n int, fn func(ctx context.Context, i
 		next   atomic.Int64 // next index to claim
 		wg     sync.WaitGroup
 		errMu  sync.Mutex
-		firstI = n // input index of the earliest error seen
+		firstI atomic.Int64 // input index of the earliest error seen; written under errMu
 		firstE error
 	)
+	firstI.Store(int64(n))
 	report := func(i int, err error) {
 		// Cancellation fallout is not an error source: once a real
 		// error has been reported (report precedes cancel, so firstE
@@ -154,8 +160,9 @@ func MapCtx[T any](ctx context.Context, p, n int, fn func(ctx context.Context, i
 			return
 		}
 		errMu.Lock()
-		if i < firstI {
-			firstI, firstE = i, err
+		if int64(i) < firstI.Load() {
+			firstI.Store(int64(i))
+			firstE = err
 		}
 		errMu.Unlock()
 		cancel()
@@ -168,15 +175,15 @@ func MapCtx[T any](ctx context.Context, p, n int, fn func(ctx context.Context, i
 			defer func() {
 				if r := recover(); r != nil {
 					meter.finish()
+					tasksPanicked.Inc()
 					report(i, fmt.Errorf("engine: %w (task %d): %v\n%s", ErrPanic, i, r, debug.Stack()))
 				}
 			}()
 			for {
+				// Claims rise monotonically, so once this index lies
+				// above the lowest failure every later claim does too.
 				i = int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if wctx.Err() != nil {
+				if i >= n || int64(i) > firstI.Load() || ctx.Err() != nil {
 					return
 				}
 				meter.start()

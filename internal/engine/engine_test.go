@@ -134,10 +134,11 @@ func TestMapCtxRealErrorNotMaskedByCancellation(t *testing.T) {
 // parallel call is returned as that task's error, stack included, and
 // cancels the rest — it must not crash the process. The other three
 // workers block until cancelled, so no task beyond the first four
-// ever starts.
+// ever starts. The recovered panic is counted on
+// tnd_engine_panics_total.
 func TestMapCtxWorkerPanicBecomesError(t *testing.T) {
 	const p, n = 4, 1000
-	q0, i0 := tasksQueued.Value(), tasksInFlight.Value()
+	q0, i0, pan0 := tasksQueued.Value(), tasksInFlight.Value(), tasksPanicked.Value()
 	var calls atomic.Int64
 	_, err := MapCtx(context.Background(), p, n, func(ctx context.Context, i int) (int, error) {
 		calls.Add(1)
@@ -157,6 +158,9 @@ func TestMapCtxWorkerPanicBecomesError(t *testing.T) {
 	if tasksQueued.Value() != q0 || tasksInFlight.Value() != i0 {
 		t.Errorf("gauges did not settle: queued %d->%d, inflight %d->%d",
 			q0, tasksQueued.Value(), i0, tasksInFlight.Value())
+	}
+	if d := tasksPanicked.Value() - pan0; d != 1 {
+		t.Errorf("tnd_engine_panics_total rose by %d, want 1", d)
 	}
 }
 

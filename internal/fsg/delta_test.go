@@ -150,7 +150,7 @@ func TestMineDeltaDeterministicAcrossParallelism(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want string
-	for _, par := range []int{1, 4, 0} {
+	for _, par := range []int{1, 2, 3, 4, 0} {
 		o := opts
 		o.Parallelism = par
 		delta, err := MineDelta(Prior{Txns: txns[:split], Levels: groupByEdges(prev)}, txns[split:], o)

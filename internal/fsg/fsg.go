@@ -74,10 +74,10 @@ type Options struct {
 	// AllowSelfLoops permits candidate edges from a vertex to itself.
 	// OD data has none (origin != destination), so the default is off.
 	AllowSelfLoops bool
-	// Parallelism is the worker count for support counting, which
-	// fans out the subgraph-isomorphism tests per candidate across
-	// its parent's TID list. <= 0 selects GOMAXPROCS; 1 runs fully
-	// serial. Results are identical for every value.
+	// Parallelism is the worker count for every stage of a level:
+	// extension and canonical coding per parent, closure pruning and
+	// support counting per candidate. <= 0 selects GOMAXPROCS; 1 runs
+	// fully serial. Results are identical for every value.
 	Parallelism int
 	// Checkpoint, when non-nil, is invoked on the mining goroutine
 	// after each completed level that produced frequent patterns,
@@ -237,12 +237,6 @@ type miner struct {
 	priorMinSupport int
 
 	frequentTriples []edgeTriple
-
-	// Connectivity scratch for the serial closure-pruning loop,
-	// reused across maskedConnected calls.
-	ccDeg   []int
-	ccSeen  []bool
-	ccStack []graph.VertexID
 }
 
 func (m *miner) run() error {
@@ -598,7 +592,23 @@ type candidate struct {
 	tidFilter pattern.TIDSet
 }
 
-// extendLevel generates, prunes and counts the next level.
+// extendChunk is how many parents extendLevel extends and codes per
+// fan-out: enough tasks to keep every worker busy, few enough that a
+// candidate-budget abort wastes at most one chunk of work and only
+// one chunk's extensions (duplicates included) are live at a time.
+const extendChunk = 256
+
+// codedExt is one extension of a parent with its canonical code.
+type codedExt struct {
+	g    *graph.Graph
+	code string
+}
+
+// extendLevel generates, prunes and counts the next level. Extension
+// and coding per parent, closure checks and support counts per
+// candidate fan out on the engine pool; dedup, the candidate budget
+// and the filters run serially over the results in input order, so
+// the output is identical at every Parallelism.
 func (m *miner) extendLevel(current []Pattern, k int) []Pattern {
 	freqCodes := make(map[string]bool, len(current))
 	for i := range current {
@@ -607,35 +617,47 @@ func (m *miner) extendLevel(current []Pattern, k int) []Pattern {
 	// Candidates dedup by exact canonical code: equal codes certify
 	// isomorphism, so a duplicate extension (the same pattern reached
 	// from another parent) is a single map hit — no per-bucket
-	// isomorphism search.
+	// isomorphism search. The merge walks parents in order, so which
+	// parent a candidate keeps and when the budget trips are those of
+	// a serial walk.
 	byCode := make(map[string]*candidate)
 	numCands := 0
-	for i := range current {
-		p := &current[i]
-		for _, ext := range m.extensions(p.Graph) {
-			code := iso.Code(ext)
-			if dup := byCode[code]; dup != nil {
-				// The same pattern reached from another parent: its
-				// support is confined to both parents' TID columns —
-				// a word-parallel bitset intersection (neither input
-				// is modified; candidates share their parents'
-				// columns until a duplicate narrows them).
-				dup.tidFilter = dup.tidFilter.And(p.TIDs)
-				continue
+	for lo := 0; lo < len(current); lo += extendChunk {
+		chunk := current[lo:min(lo+extendChunk, len(current))]
+		coded := engine.Map(m.opts.Parallelism, len(chunk), func(i int) []codedExt {
+			exts := m.extensions(chunk[i].Graph)
+			out := make([]codedExt, len(exts))
+			for j, ext := range exts {
+				out[j] = codedExt{g: ext, code: iso.Code(ext)}
 			}
-			numCands++
-			byCode[code] = &candidate{
-				g: ext, code: code, parent: p,
-				newEdge:   graph.EdgeID(ext.NumEdges() - 1),
-				tidFilter: p.TIDs,
-			}
-			if m.opts.MaxCandidates > 0 && numCands > m.opts.MaxCandidates {
-				m.res.Aborted = true
-				m.res.AbortReason = fmt.Sprintf(
-					"candidate set at level %d exceeded %d (FSG exhausts memory here on the paper's hardware)",
-					k+1, m.opts.MaxCandidates)
-				m.res.Levels = append(m.res.Levels, LevelStats{Edges: k + 1, Candidates: numCands})
-				return nil
+			return out
+		})
+		for i, exts := range coded {
+			p := &chunk[i]
+			for _, ext := range exts {
+				if dup := byCode[ext.code]; dup != nil {
+					// The same pattern reached from another parent: its
+					// support is confined to both parents' TID columns
+					// — a word-parallel bitset intersection (neither
+					// input is modified; candidates share their
+					// parents' columns until a duplicate narrows them).
+					dup.tidFilter = dup.tidFilter.And(p.TIDs)
+					continue
+				}
+				numCands++
+				byCode[ext.code] = &candidate{
+					g: ext.g, code: ext.code, parent: p,
+					newEdge:   graph.EdgeID(ext.g.NumEdges() - 1),
+					tidFilter: p.TIDs,
+				}
+				if m.opts.MaxCandidates > 0 && numCands > m.opts.MaxCandidates {
+					m.res.Aborted = true
+					m.res.AbortReason = fmt.Sprintf(
+						"candidate set at level %d exceeded %d (FSG exhausts memory here on the paper's hardware)",
+						k+1, m.opts.MaxCandidates)
+					m.res.Levels = append(m.res.Levels, LevelStats{Edges: k + 1, Candidates: numCands})
+					return nil
+				}
 			}
 		}
 	}
@@ -647,10 +669,14 @@ func (m *miner) extendLevel(current []Pattern, k int) []Pattern {
 		codes = append(codes, c)
 	}
 	sort.Strings(codes)
+	passes := engine.Map(m.opts.Parallelism, len(codes), func(i int) bool {
+		cand := byCode[codes[i]]
+		return passesClosure(cand.g, cand.newEdge, freqCodes)
+	})
 	var pruned []*candidate
-	for _, c := range codes {
-		if cand := byCode[c]; m.passesClosure(cand.g, cand.newEdge, freqCodes) {
-			pruned = append(pruned, cand)
+	for i, c := range codes {
+		if passes[i] {
+			pruned = append(pruned, byCode[c])
 		}
 	}
 
@@ -778,13 +804,25 @@ func (m *miner) extensions(p *graph.Graph) []*graph.Graph {
 // masked view of cand — no clone, no compaction — and membership is
 // an exact canonical-code lookup (iso.CodeMasked equals the code of
 // the materialised subpattern), so the check neither misses frequent
-// subpatterns nor passes infrequent ones.
-func (m *miner) passesClosure(cand *graph.Graph, newEdge graph.EdgeID, freqCodes map[string]bool) bool {
+// subpatterns nor passes infrequent ones. It runs concurrently per
+// candidate, so its connectivity scratch is its own: fixed buffers
+// on the goroutine's stack, which fit every candidate of up to
+// closureInlineVerts vertices.
+func passesClosure(cand *graph.Graph, newEdge graph.EdgeID, freqCodes map[string]bool) bool {
+	var (
+		degBuf   [closureInlineVerts]int
+		seenBuf  [closureInlineVerts]bool
+		stackBuf [closureInlineVerts]graph.VertexID
+	)
+	deg, seen, stack := degBuf[:], seenBuf[:], stackBuf[:]
+	if vcap := cand.VertexCap(); vcap > closureInlineVerts {
+		deg, seen, stack = make([]int, vcap), make([]bool, vcap), make([]graph.VertexID, vcap)
+	}
 	for _, e := range cand.Edges() {
 		if e == newEdge {
 			continue
 		}
-		if !m.maskedConnected(cand, e) {
+		if !maskedConnected(cand, e, deg, seen, stack) {
 			// Deleting this edge disconnects the pattern; the
 			// disconnected remainder is not a connected subpattern,
 			// so closure does not constrain it.
@@ -797,16 +835,16 @@ func (m *miner) passesClosure(cand *graph.Graph, newEdge graph.EdgeID, freqCodes
 	return true
 }
 
+// closureInlineVerts sizes passesClosure's stack-resident scratch.
+const closureInlineVerts = 16
+
 // maskedConnected reports whether g minus edge skip (orphans dropped)
-// is connected and non-empty. It runs once per (candidate, edge) in
-// the serial pruning loop, so its working arrays live on the miner.
-func (m *miner) maskedConnected(g *graph.Graph, skip graph.EdgeID) bool {
+// is connected and non-empty. deg, seen and stack are scratch of at
+// least g.VertexCap() entries; every vertex is pushed at most once,
+// so the stack never outgrows it.
+func maskedConnected(g *graph.Graph, skip graph.EdgeID, deg []int, seen []bool, stack []graph.VertexID) bool {
 	vcap := g.VertexCap()
-	if cap(m.ccDeg) < vcap {
-		m.ccDeg = make([]int, vcap)
-		m.ccSeen = make([]bool, vcap)
-	}
-	deg, seen := m.ccDeg[:vcap], m.ccSeen[:vcap]
+	deg, seen = deg[:vcap], seen[:vcap]
 	for i := 0; i < vcap; i++ {
 		deg[i], seen[i] = 0, false
 	}
@@ -834,8 +872,7 @@ func (m *miner) maskedConnected(g *graph.Graph, skip graph.EdgeID) bool {
 	if start < 0 {
 		return false
 	}
-	stack := append(m.ccStack[:0], start)
-	defer func() { m.ccStack = stack[:0] }()
+	stack = append(stack[:0], start)
 	seen[start] = true
 	reached := 1
 	for len(stack) > 0 {

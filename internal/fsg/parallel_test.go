@@ -11,18 +11,22 @@ import (
 )
 
 // renderResult serialises every observable field of a mining result
-// so equivalence across Parallelism values can be asserted
-// byte-for-byte.
+// — each pattern's TIDs, overflow marks and per-TID embedding counts,
+// each level's full stats — so equivalence across Parallelism values
+// can be asserted byte-for-byte.
 func renderResult(r *Result) string {
 	var b strings.Builder
 	for i := range r.Patterns {
 		p := &r.Patterns[i]
-		fmt.Fprintf(&b, "pattern %d code=%q support=%d tids=%v\n%s",
-			i, p.Code, p.Support, p.TIDs, p.Graph.Dump())
+		embs := make([]int, len(p.Embs))
+		for j, list := range p.Embs {
+			embs[j] = len(list)
+		}
+		fmt.Fprintf(&b, "pattern %d code=%q support=%d tids=%v overflowed=%v partial=%v embs=%v\n%s",
+			i, p.Code, p.Support, p.TIDs, p.Overflowed, p.Partial, embs, p.Graph.Dump())
 	}
 	for _, lv := range r.Levels {
-		fmt.Fprintf(&b, "level edges=%d candidates=%d frequent=%d isoTests=%d\n",
-			lv.Edges, lv.Candidates, lv.Frequent, lv.IsoTests)
+		fmt.Fprintf(&b, "level %+v\n", lv)
 	}
 	fmt.Fprintf(&b, "aborted=%v reason=%q budgeted=%d\n", r.Aborted, r.AbortReason, r.BudgetedTests)
 	return b.String()
@@ -59,9 +63,9 @@ func motifTxns(n int, seed int64) []*graph.Graph {
 }
 
 // TestMineDeterministicAcrossParallelism asserts bit-identical output
-// at Parallelism 0 (auto), 1, 4 and GOMAXPROCS, with and without a
-// step budget. Run under -race this also exercises the engine fan-out
-// for safety.
+// at Parallelism 0 (auto), 1, 2, 3, 4 and GOMAXPROCS, with and
+// without a step budget. Run under -race this also exercises the
+// engine fan-out for safety.
 func TestMineDeterministicAcrossParallelism(t *testing.T) {
 	txns := motifTxns(24, 7)
 	for _, tc := range []struct {
@@ -74,7 +78,7 @@ func TestMineDeterministicAcrossParallelism(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var want string
-			for _, p := range []int{1, 4, 0, runtime.GOMAXPROCS(0)} {
+			for _, p := range []int{1, 2, 3, 4, 0, runtime.GOMAXPROCS(0)} {
 				opts := tc.opts
 				opts.Parallelism = p
 				res, err := Mine(txns, opts)

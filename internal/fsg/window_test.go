@@ -166,7 +166,7 @@ func TestAdvanceWindowDeterministicAcrossParallelism(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want string
-	for _, par := range []int{1, 4, 0} {
+	for _, par := range []int{1, 2, 3, 4, 0} {
 		o := opts
 		o.Parallelism = par
 		prior := Prior{Txns: txns[:26], Levels: groupByEdges(prev), MinSupport: opts.MinSupport}

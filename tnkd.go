@@ -25,9 +25,10 @@
 //     (Section 7).
 //
 // Every graph miner executes on a shared worker-pool engine
-// (internal/engine): FSG support counting, SUBDUE beam evaluation,
-// Algorithm 1's repeated partitionings and the per-day temporal
-// batches all fan out across CPUs, controlled by the Parallelism
+// (internal/engine): every FSG level (extension and coding, closure
+// pruning, support counting — for each of Algorithm 1's repetitions
+// in turn), SUBDUE beam evaluation and the per-day temporal batches
+// all fan out across CPUs, controlled by the Parallelism
 // field of the corresponding Options struct (0 = all CPUs, 1 =
 // serial). Mining results are bit-identical at every worker count.
 //
