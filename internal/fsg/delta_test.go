@@ -93,7 +93,7 @@ func TestMineDeltaMatchesFullMine(t *testing.T) {
 				continue
 			}
 			for j, tid := range p.TIDs.All() {
-				if want := iso.CountEmbeddings(p.Graph, txns[tid], 0); len(p.Embs[j]) != want {
+				if want := iso.CountEmbeddings(txns[tid], p.Graph, 0); len(p.Embs[j]) != want {
 					t.Fatalf("trial %d pattern %q tid %d: delta kept %d embeddings, full enumeration has %d",
 						trial, p.Code, tid, len(p.Embs[j]), want)
 				}

@@ -305,7 +305,7 @@ func (m *miner) checkpoint(pats []Pattern) error {
 // count the embedding budget meters.
 type tripleScan struct {
 	tids      map[edgeTriple][]int
-	embs      map[edgeTriple][][]iso.DenseEmbedding
+	embs      map[edgeTriple][][]iso.Embedding
 	generated int
 }
 
@@ -323,7 +323,7 @@ func scanTriples(txns []*graph.Graph, tidOffset int, restrict map[edgeTriple]boo
 	}
 	sc := tripleScan{
 		tids: make(map[edgeTriple][]int),
-		embs: make(map[edgeTriple][][]iso.DenseEmbedding),
+		embs: make(map[edgeTriple][][]iso.Embedding),
 	}
 	for ti, t := range txns {
 		seen := make(map[edgeTriple]bool)
@@ -347,7 +347,7 @@ func scanTriples(txns []*graph.Graph, tidOffset int, restrict map[edgeTriple]boo
 			if ed.From != ed.To && !seenPair[occ] {
 				seenPair[occ] = true
 				lists := sc.embs[tr]
-				lists[len(lists)-1] = append(lists[len(lists)-1], iso.DenseEmbedding{
+				lists[len(lists)-1] = append(lists[len(lists)-1], iso.Embedding{
 					Verts: []graph.VertexID{ed.From, ed.To},
 					Edges: []graph.EdgeID{e},
 				})
@@ -465,7 +465,7 @@ func (m *miner) mineSingleEdgesDelta() ([]Pattern, bool) {
 	for _, tr := range sortedTriples(universe) {
 		sp := storedByTriple[tr]
 		var tids, partial pattern.TIDSet
-		var embs [][]iso.DenseEmbedding
+		var embs [][]iso.Embedding
 		overflowed := false
 		bare := false
 		switch {

@@ -146,7 +146,7 @@ func TestRetireDeltaMatchesFreshMine(t *testing.T) {
 				continue
 			}
 			for j, tid := range p.TIDs.All() {
-				if want := iso.CountEmbeddings(p.Graph, survivors[tid], 0); len(p.Embs[j]) != want {
+				if want := iso.CountEmbeddings(survivors[tid], p.Graph, 0); len(p.Embs[j]) != want {
 					t.Fatalf("trial %d pattern %q tid %d: retirement kept %d embeddings, full enumeration has %d",
 						trial, p.Code, tid, len(p.Embs[j]), want)
 				}

@@ -176,7 +176,10 @@ func TestCodeParallelEdges(t *testing.T) {
 	}
 }
 
-func TestEmbedInSubgraphRespectsRestriction(t *testing.T) {
+// TestReanchorRespectsRestriction: a re-anchor maps the pattern onto
+// exactly the candidate instance's vertices and edges, and refuses a
+// candidate that cannot host the pattern.
+func TestReanchorRespectsRestriction(t *testing.T) {
 	g := graph.New("g")
 	a := g.AddVertex("*")
 	b := g.AddVertex("*")
@@ -188,38 +191,33 @@ func TestEmbedInSubgraphRespectsRestriction(t *testing.T) {
 	pb := pat.AddVertex("*")
 	pat.AddEdge(pa, pb, "x")
 
-	vset := map[graph.VertexID]bool{a: true, b: true}
-	eset := map[graph.EdgeID]bool{e1: true}
-	emb, ok := EmbedInSubgraph(pat, g, vset, eset, 1000)
+	re := NewReanchorer(g, pat, 1000)
+	emb, ok := re.Reanchor(Embedding{Verts: []graph.VertexID{a, b}, Edges: []graph.EdgeID{e1}})
 	if !ok {
 		t.Fatal("restricted embedding not found")
 	}
-	for _, tv := range emb.Vertices {
-		if !vset[tv] {
-			t.Error("embedding escaped vertex restriction")
-		}
+	if emb.Verts[pa] != a || emb.Verts[pb] != b || emb.Edges[0] != e1 {
+		t.Errorf("embedding escaped the restriction: %v", emb)
 	}
-	// Restricting to a set that cannot host the pattern fails.
-	if _, ok := EmbedInSubgraph(pat, g, map[graph.VertexID]bool{a: true}, eset, 1000); ok {
+	// Candidates that cannot host the pattern fail: a single vertex,
+	// and two vertices whose only allowed edge does not join them.
+	if _, ok := re.Reanchor(Embedding{Verts: []graph.VertexID{a}}); ok {
 		t.Error("embedding into a single vertex should fail")
+	}
+	if _, ok := re.Reanchor(Embedding{Verts: []graph.VertexID{b, c}, Edges: []graph.EdgeID{e1}}); ok {
+		t.Error("embedding into b, c over edge a->b should fail")
+	}
+	// The failed calls leave no restriction behind.
+	if _, ok := re.Reanchor(Embedding{Verts: []graph.VertexID{b, c}, Edges: []graph.EdgeID{1}}); !ok {
+		t.Error("embedding into b->c after failed calls not found")
 	}
 }
 
 func TestGreedyNonOverlapOrderSensitivity(t *testing.T) {
-	mk := func(vs []graph.VertexID, es []graph.EdgeID) Embedding {
-		e := Embedding{Vertices: map[graph.VertexID]graph.VertexID{}, Edges: map[graph.EdgeID]graph.EdgeID{}}
-		for i, v := range vs {
-			e.Vertices[graph.VertexID(i)] = v
-		}
-		for i, id := range es {
-			e.Edges[graph.EdgeID(i)] = id
-		}
-		return e
-	}
 	embs := []Embedding{
-		mk([]graph.VertexID{0, 1}, []graph.EdgeID{0}),
-		mk([]graph.VertexID{1, 2}, []graph.EdgeID{1}), // shares vertex 1
-		mk([]graph.VertexID{3, 4}, []graph.EdgeID{2}),
+		{Verts: []graph.VertexID{0, 1}, Edges: []graph.EdgeID{0}},
+		{Verts: []graph.VertexID{1, 2}, Edges: []graph.EdgeID{1}}, // shares vertex 1
+		{Verts: []graph.VertexID{3, 4}, Edges: []graph.EdgeID{2}},
 	}
 	out := GreedyNonOverlap(embs)
 	if len(out) != 2 {

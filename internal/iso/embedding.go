@@ -4,23 +4,10 @@ import (
 	"tnkd/internal/graph"
 )
 
-// DenseEmbedding is the slice-backed form of an Embedding for
-// patterns with dense IDs (every vertex ID in [0, NumVertices) and
-// every edge ID in [0, NumEdges), which holds for all pattern graphs
-// built by Clone+AddVertex+AddEdge): Verts[pv] is the target vertex
-// matched by pattern vertex pv, Edges[pe] the target edge matched by
-// pattern edge pe. It is the storage format of the embedding lists in
-// internal/pattern — two small slices instead of two maps, so storing
-// and extending hundreds of thousands of embeddings stays cheap.
-type DenseEmbedding struct {
-	Verts []graph.VertexID
-	Edges []graph.EdgeID
-}
-
 // UsesVertex reports whether tv is already matched by some pattern
 // vertex. Pattern sides are tiny (a few dozen vertices at most), so a
 // linear scan beats any hashing.
-func (e DenseEmbedding) UsesVertex(tv graph.VertexID) bool {
+func (e Embedding) UsesVertex(tv graph.VertexID) bool {
 	for _, v := range e.Verts {
 		if v == tv {
 			return true
@@ -31,7 +18,7 @@ func (e DenseEmbedding) UsesVertex(tv graph.VertexID) bool {
 
 // UsesEdge reports whether te is already matched by some pattern
 // edge.
-func (e DenseEmbedding) UsesEdge(te graph.EdgeID) bool {
+func (e Embedding) UsesEdge(te graph.EdgeID) bool {
 	for _, t := range e.Edges {
 		if t == te {
 			return true
@@ -42,54 +29,23 @@ func (e DenseEmbedding) UsesEdge(te graph.EdgeID) bool {
 
 // Clone returns a deep copy with room for one more vertex and edge
 // (the one-edge extension growth pattern).
-func (e DenseEmbedding) Clone() DenseEmbedding {
+func (e Embedding) Clone() Embedding {
 	verts := make([]graph.VertexID, len(e.Verts), len(e.Verts)+1)
 	copy(verts, e.Verts)
 	edges := make([]graph.EdgeID, len(e.Edges), len(e.Edges)+1)
 	copy(edges, e.Edges)
-	return DenseEmbedding{Verts: verts, Edges: edges}
-}
-
-// ToEmbedding converts to the map-backed public shape.
-func (e DenseEmbedding) ToEmbedding() Embedding {
-	out := Embedding{
-		Vertices: make(map[graph.VertexID]graph.VertexID, len(e.Verts)),
-		Edges:    make(map[graph.EdgeID]graph.EdgeID, len(e.Edges)),
-	}
-	for pv, tv := range e.Verts {
-		out.Vertices[graph.VertexID(pv)] = tv
-	}
-	for pe, te := range e.Edges {
-		out.Edges[graph.EdgeID(pe)] = te
-	}
-	return out
+	return Embedding{Verts: verts, Edges: edges}
 }
 
 // extended returns a copy of e grown by the new edge's target match
 // (and, when nv >= 0, the new vertex's).
-func (e DenseEmbedding) extended(nv graph.VertexID, te graph.EdgeID) DenseEmbedding {
+func (e Embedding) extended(nv graph.VertexID, te graph.EdgeID) Embedding {
 	c := e.Clone()
 	if nv >= 0 {
 		c.Verts = append(c.Verts, nv)
 	}
 	c.Edges = append(c.Edges, te)
 	return c
-}
-
-// Embeddings enumerates the embeddings of pattern into target in
-// dense form, on the same slice-backed matcher state FindEmbeddings
-// uses. The pattern must have dense IDs. The second result reports
-// whether the search ran to completion (false when Options.MaxSteps
-// aborted it, in which case the list may be incomplete).
-func Embeddings(target, pattern *graph.Graph, opts Options) ([]DenseEmbedding, bool) {
-	if pattern.NumVertices() == 0 || pattern.NumVertices() > target.NumVertices() ||
-		pattern.NumEdges() > target.NumEdges() {
-		return nil, true
-	}
-	m := newMatcher(pattern, target, opts)
-	m.dense = true
-	m.search(0)
-	return m.denseResults, !m.aborted
 }
 
 // ExtendEmbedding enumerates the one-edge extensions of emb: given an
@@ -112,7 +68,7 @@ func Embeddings(target, pattern *graph.Graph, opts Options) ([]DenseEmbedding, b
 // parent, so extending a complete parent list yields the complete
 // child list, each embedding exactly once. limit > 0 stops once out
 // holds that many embeddings (existence checks pass 1).
-func ExtendEmbedding(target, child *graph.Graph, emb DenseEmbedding, newEdge graph.EdgeID, limit int, out []DenseEmbedding) []DenseEmbedding {
+func ExtendEmbedding(target, child *graph.Graph, emb Embedding, newEdge graph.EdgeID, limit int, out []Embedding) []Embedding {
 	ed := child.Edge(newEdge)
 	fromNew := int(ed.From) >= len(emb.Verts)
 	toNew := int(ed.To) >= len(emb.Verts)
@@ -180,81 +136,11 @@ func ExtendEmbedding(target, child *graph.Graph, emb DenseEmbedding, newEdge gra
 // deduping parallel target edges to the same endpoint. Extension
 // counts per embedding are degree-bounded and small, so a linear scan
 // beats a set.
-func endpointSeen(batch []DenseEmbedding, tv graph.VertexID) bool {
+func endpointSeen(batch []Embedding, tv graph.VertexID) bool {
 	for i := range batch {
 		if batch[i].Verts[len(batch[i].Verts)-1] == tv {
 			return true
 		}
 	}
 	return false
-}
-
-// GreedyNonOverlapDense is GreedyNonOverlap over dense embeddings: a
-// maximal prefix-greedy subset that is pairwise vertex- and
-// edge-disjoint.
-func GreedyNonOverlapDense(embs []DenseEmbedding) []DenseEmbedding {
-	usedV := make(map[graph.VertexID]bool)
-	usedE := make(map[graph.EdgeID]bool)
-	var out []DenseEmbedding
-	for _, emb := range embs {
-		ok := true
-		for _, tv := range emb.Verts {
-			if usedV[tv] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			for _, te := range emb.Edges {
-				if usedE[te] {
-					ok = false
-					break
-				}
-			}
-		}
-		if !ok {
-			continue
-		}
-		for _, tv := range emb.Verts {
-			usedV[tv] = true
-		}
-		for _, te := range emb.Edges {
-			usedE[te] = true
-		}
-		out = append(out, emb)
-	}
-	return out
-}
-
-// ReanchorDense is Reanchor for dense embeddings: it maps the pattern
-// onto exactly the target vertices and edges covered by emb (an
-// embedding of some isomorphic construction of the pattern),
-// returning an embedding keyed to the pattern's own dense IDs.
-func (r *Reanchorer) ReanchorDense(emb DenseEmbedding) (DenseEmbedding, bool) {
-	m := r.m
-	if m.pattern.NumVertices() != len(emb.Verts) {
-		return DenseEmbedding{}, false
-	}
-	for _, tv := range emb.Verts {
-		m.restrictVertex[tv] = true
-	}
-	for _, te := range emb.Edges {
-		m.restrictEdge[te] = true
-	}
-	m.dense = true
-	m.search(0)
-	var out DenseEmbedding
-	ok := len(m.denseResults) > 0
-	if ok {
-		out = m.denseResults[0]
-	}
-	for _, tv := range emb.Verts {
-		m.restrictVertex[tv] = false
-	}
-	for _, te := range emb.Edges {
-		m.restrictEdge[te] = false
-	}
-	m.dense = false
-	m.resetSearch()
-	return out, ok
 }

@@ -18,12 +18,17 @@ import (
 )
 
 // Embedding records one occurrence of a pattern inside a target
-// graph: an injective vertex mapping plus the specific target edge
-// matched by each pattern edge (edge-injective, so multigraph
-// instances consume distinct parallel edges).
+// graph: Verts[pv] is the target vertex matched by pattern vertex pv
+// and Edges[pe] the target edge matched by pattern edge pe. The
+// mapping is injective on vertices and on edges, so multigraph
+// instances consume distinct parallel edges. Slots are indexed by
+// pattern ID, so every function that returns embeddings requires a
+// pattern with dense IDs (see requireDenseIDs). Two small slices
+// instead of two maps keep storing and extending the hundreds of
+// thousands of embeddings in internal/pattern cheap.
 type Embedding struct {
-	Vertices map[graph.VertexID]graph.VertexID // pattern vertex -> target vertex
-	Edges    map[graph.EdgeID]graph.EdgeID     // pattern edge -> target edge
+	Verts []graph.VertexID
+	Edges []graph.EdgeID
 }
 
 // matcher holds the state of one backtracking search. All per-step
@@ -43,15 +48,14 @@ type matcher struct {
 	usedEdge   []bool           // target edge ID in use
 	edgeMap    []graph.EdgeID   // pattern edge ID -> target edge (-1 unassigned)
 
-	// excluded/restrict are the Options sets densified over target
-	// IDs; hasRestrict* distinguishes "no restriction" from an empty
-	// restriction set.
-	excludedEdge    []bool
-	excludedVertex  []bool
-	restrictVertex  []bool
-	restrictEdge    []bool
-	hasRestrictVert bool
-	hasRestrictEdge bool
+	// excluded*/restrict* bar target IDs from the search, indexed by
+	// target ID; nil means no such constraint. FindNonOverlapping
+	// excludes each instance it takes, Reanchorer restricts every
+	// search to one candidate instance.
+	excludedEdge   []bool
+	excludedVertex []bool
+	restrictVertex []bool
+	restrictEdge   []bool
 
 	// candScratch[d] is reused by candidates() at search depth d to
 	// collect and deduplicate candidate vertices without allocating.
@@ -60,12 +64,13 @@ type matcher struct {
 	candScratch [][]graph.VertexID
 	candSeen    []bool // target vertex ID already collected (reset per call)
 
-	limit   int
+	limit int
+	// collect materialises every hit into results (dense-ID patterns
+	// only); otherwise hits are only counted in found, which works
+	// for any pattern.
+	collect bool
+	found   int
 	results []Embedding
-	// dense switches result collection to DenseEmbedding (requires a
-	// dense-ID pattern); the map-backed results slice stays empty.
-	dense        bool
-	denseResults []DenseEmbedding
 	// maxSteps bounds the number of search-tree nodes expanded; 0
 	// means unbounded. Exceeding the budget aborts the search with
 	// whatever results were found.
@@ -74,9 +79,9 @@ type matcher struct {
 	aborted  bool
 }
 
-// newMatcher builds the dense search state for one pattern/target
+// newMatcher builds the dense search state for one target/pattern
 // pair.
-func newMatcher(pattern, target *graph.Graph, opts Options) *matcher {
+func newMatcher(target, pattern *graph.Graph, opts Options, collect bool) *matcher {
 	m := &matcher{
 		pattern:    pattern,
 		target:     target,
@@ -88,6 +93,7 @@ func newMatcher(pattern, target *graph.Graph, opts Options) *matcher {
 		edgeMap:    make([]graph.EdgeID, pattern.EdgeCap()),
 		candSeen:   make([]bool, target.VertexCap()),
 		limit:      opts.Limit,
+		collect:    collect,
 		maxSteps:   opts.MaxSteps,
 	}
 	m.candScratch = make([][]graph.VertexID, len(m.order))
@@ -97,67 +103,14 @@ func newMatcher(pattern, target *graph.Graph, opts Options) *matcher {
 	for i := range m.edgeMap {
 		m.edgeMap[i] = -1
 	}
-	if len(opts.ExcludedEdges) > 0 {
-		m.excludedEdge = densifyEdges(opts.ExcludedEdges, target.EdgeCap())
-	}
-	if len(opts.ExcludedVertices) > 0 {
-		m.excludedVertex = densifyVertices(opts.ExcludedVertices, target.VertexCap())
-	}
-	if opts.RestrictVertices != nil {
-		m.hasRestrictVert = true
-		m.restrictVertex = densifyVertices(opts.RestrictVertices, target.VertexCap())
-	}
-	if opts.RestrictEdges != nil {
-		m.hasRestrictEdge = true
-		m.restrictEdge = densifyEdges(opts.RestrictEdges, target.EdgeCap())
-	}
 	return m
-}
-
-func densifyVertices(set map[graph.VertexID]bool, cap int) []bool {
-	dense := make([]bool, cap)
-	for id, ok := range set {
-		if ok && int(id) < cap && id >= 0 {
-			dense[id] = true
-		}
-	}
-	return dense
-}
-
-func densifyEdges(set map[graph.EdgeID]bool, cap int) []bool {
-	dense := make([]bool, cap)
-	for id, ok := range set {
-		if ok && int(id) < cap && id >= 0 {
-			dense[id] = true
-		}
-	}
-	return dense
-}
-
-// excludeEmbedding bars emb's target edges (and, when vertices is
-// set, its target vertices) from subsequent searches on this matcher.
-func (m *matcher) excludeEmbedding(emb Embedding, vertices bool) {
-	if m.excludedEdge == nil {
-		m.excludedEdge = make([]bool, m.target.EdgeCap())
-	}
-	for _, te := range emb.Edges {
-		m.excludedEdge[te] = true
-	}
-	if vertices {
-		if m.excludedVertex == nil {
-			m.excludedVertex = make([]bool, m.target.VertexCap())
-		}
-		for _, tv := range emb.Vertices {
-			m.excludedVertex[tv] = true
-		}
-	}
 }
 
 // resetSearch clears per-search state in O(pattern) — after a search
 // ends, the only live entries in the dense arrays are the current
 // (possibly partial, on abort) assignment — so the matcher can run
 // again against the same target without reallocating its graph-sized
-// state. Exclusions persist.
+// state. Exclusions and restrictions persist.
 func (m *matcher) resetSearch() {
 	for _, pv := range m.order {
 		if tv := m.assigned[pv]; tv >= 0 {
@@ -171,8 +124,8 @@ func (m *matcher) resetSearch() {
 			m.edgeMap[pe] = -1
 		}
 	}
+	m.found = 0
 	m.results = nil
-	m.denseResults = nil
 	m.steps = 0
 	m.aborted = false
 }
@@ -184,49 +137,60 @@ type Options struct {
 	// MaxSteps bounds backtracking-node expansions (<= 0 unbounded);
 	// searches that exceed it return partial results.
 	MaxSteps int
-	// ExcludedEdges are target edges the match may not use.
-	ExcludedEdges map[graph.EdgeID]bool
-	// ExcludedVertices are target vertices the match may not use.
-	ExcludedVertices map[graph.VertexID]bool
-	// RestrictVertices, when non-nil, limits the match to these
-	// target vertices (used to verify an instance candidate against
-	// a specific target subgraph).
-	RestrictVertices map[graph.VertexID]bool
-	// RestrictEdges, when non-nil, limits the match to these target
-	// edges.
-	RestrictEdges map[graph.EdgeID]bool
 }
 
-// FindEmbeddings returns embeddings of pattern into target under the
-// Section 4 matching relation. The pattern must have at least one
-// vertex. Results are deterministic for identical inputs.
-func FindEmbeddings(pattern, target *graph.Graph, opts Options) []Embedding {
-	if pattern.NumVertices() == 0 || pattern.NumVertices() > target.NumVertices() ||
-		pattern.NumEdges() > target.NumEdges() {
-		return nil
+// requireDenseIDs enforces the contract of every function that
+// returns embeddings: the pattern's vertex IDs are exactly
+// [0, NumVertices) and its edge IDs [0, NumEdges), as for every graph
+// built by New or Clone plus AddVertex/AddEdge. A pattern with holes
+// (after RemoveVertex or RemoveEdge) would leave -1 slots in its
+// embeddings; Compact it first.
+func requireDenseIDs(pattern *graph.Graph) {
+	if pattern.VertexCap() != pattern.NumVertices() || pattern.EdgeCap() != pattern.NumEdges() {
+		panic("iso: a pattern whose embeddings are returned must have dense vertex and edge IDs (no removed vertices or edges); Compact it first")
 	}
-	m := newMatcher(pattern, target, opts)
+}
+
+// fits reports whether pattern is non-empty and no larger than
+// target, the precondition for any embedding.
+func fits(target, pattern *graph.Graph) bool {
+	return pattern.NumVertices() > 0 && pattern.NumVertices() <= target.NumVertices() &&
+		pattern.NumEdges() <= target.NumEdges()
+}
+
+// Embeddings enumerates the embeddings of pattern into target under
+// the Section 4 matching relation. The pattern must have dense IDs.
+// Results are deterministic for identical inputs. The second result
+// reports whether the search ran to completion (false when
+// Options.MaxSteps aborted it, in which case the list may be
+// incomplete).
+func Embeddings(target, pattern *graph.Graph, opts Options) ([]Embedding, bool) {
+	requireDenseIDs(pattern)
+	if !fits(target, pattern) {
+		return nil, true
+	}
+	m := newMatcher(target, pattern, opts, true)
 	m.search(0)
-	return m.results
+	return m.results, !m.aborted
 }
 
 // Contains reports whether target contains at least one embedding of
-// pattern.
+// pattern. Any pattern is accepted, holes in its IDs included.
 func Contains(target, pattern *graph.Graph) bool {
-	return len(FindEmbeddings(pattern, target, Options{Limit: 1})) > 0
+	return CountEmbeddings(target, pattern, 1) > 0
 }
 
-// ContainsBudget is Contains with a step budget; it returns
-// (found, completed) where completed is false if the search aborted
-// on budget before finding anything.
-func ContainsBudget(target, pattern *graph.Graph, maxSteps int) (found, completed bool) {
-	if pattern.NumVertices() == 0 || pattern.NumVertices() > target.NumVertices() ||
-		pattern.NumEdges() > target.NumEdges() {
-		return false, true
+// CountEmbeddings returns the number of embeddings of pattern in
+// target, up to limit (<= 0 for all). Automorphic images of the same
+// subgraph are counted separately. Hits are counted, not
+// materialised, so any pattern is accepted.
+func CountEmbeddings(target, pattern *graph.Graph, limit int) int {
+	if !fits(target, pattern) {
+		return 0
 	}
-	m := newMatcher(pattern, target, Options{Limit: 1, MaxSteps: maxSteps})
+	m := newMatcher(target, pattern, Options{Limit: limit}, false)
 	m.search(0)
-	return len(m.results) > 0, !m.aborted
+	return m.found
 }
 
 // searchOrder returns the pattern vertices ordered so that after the
@@ -289,19 +253,18 @@ func (m *matcher) search(depth int) bool {
 		}
 	}
 	if depth == len(m.order) {
-		if m.dense {
-			m.denseResults = append(m.denseResults, m.emitDense())
-		} else {
+		m.found++
+		if m.collect {
 			m.results = append(m.results, m.emit())
 		}
-		return m.limit > 0 && len(m.results)+len(m.denseResults) >= m.limit
+		return m.limit > 0 && m.found >= m.limit
 	}
 	pv := m.order[depth]
 	for _, tv := range m.candidates(depth, pv) {
 		if m.usedVertex[tv] || (m.excludedVertex != nil && m.excludedVertex[tv]) {
 			continue
 		}
-		if m.hasRestrictVert && !m.restrictVertex[tv] {
+		if m.restrictVertex != nil && !m.restrictVertex[tv] {
 			continue
 		}
 		chosen, ok := m.tryAssign(pv, tv)
@@ -318,29 +281,10 @@ func (m *matcher) search(depth int) bool {
 	return false
 }
 
-// emit materialises the current dense assignment as a map-backed
-// Embedding (the public result shape).
+// emit materialises the current assignment. The pattern has dense
+// IDs, so assigned and edgeMap are fully populated over [0, cap).
 func (m *matcher) emit() Embedding {
 	e := Embedding{
-		Vertices: make(map[graph.VertexID]graph.VertexID, len(m.order)),
-		Edges:    make(map[graph.EdgeID]graph.EdgeID, len(m.pEdges)),
-	}
-	for _, pv := range m.order {
-		e.Vertices[pv] = m.assigned[pv]
-	}
-	for _, pe := range m.pEdges {
-		if te := m.edgeMap[pe]; te >= 0 {
-			e.Edges[pe] = te
-		}
-	}
-	return e
-}
-
-// emitDense materialises the current assignment in dense form. The
-// pattern must have dense IDs (assigned/edgeMap fully populated over
-// [0, cap)), which holds for every pattern graph the miners build.
-func (m *matcher) emitDense() DenseEmbedding {
-	e := DenseEmbedding{
 		Verts: make([]graph.VertexID, len(m.assigned)),
 		Edges: make([]graph.EdgeID, len(m.edgeMap)),
 	}
@@ -481,7 +425,7 @@ func (m *matcher) reserveEdge(pe graph.EdgeID, from, to graph.VertexID, label st
 		if m.usedEdge[te] || (m.excludedEdge != nil && m.excludedEdge[te]) {
 			continue
 		}
-		if m.hasRestrictEdge && !m.restrictEdge[te] {
+		if m.restrictEdge != nil && !m.restrictEdge[te] {
 			continue
 		}
 		m.usedEdge[te] = true
@@ -516,40 +460,6 @@ func Isomorphic(a, b *graph.Graph) bool {
 	return Contains(b, a)
 }
 
-// CountEmbeddings returns the number of embeddings of pattern in
-// target, up to limit (<= 0 for all). Automorphic images of the same
-// subgraph are counted separately.
-func CountEmbeddings(pattern, target *graph.Graph, limit int) int {
-	return len(FindEmbeddings(pattern, target, Options{Limit: limit}))
-}
-
-// CountNonOverlapping greedily counts pairwise edge-disjoint
-// instances of pattern in target. SUBDUE evaluates substructures by
-// the number of non-overlapping instances (the paper runs it "without
-// allowing overlap"); greedy extraction gives the standard lower
-// bound used by the original system.
-func CountNonOverlapping(pattern, target *graph.Graph, maxSteps int) int {
-	if pattern.NumVertices() == 0 || pattern.NumVertices() > target.NumVertices() ||
-		pattern.NumEdges() > target.NumEdges() {
-		return 0
-	}
-	// One matcher serves every extraction round: exclusions
-	// accumulate in its dense state and each round resets in
-	// O(pattern), instead of rebuilding graph-sized state per
-	// instance.
-	m := newMatcher(pattern, target, Options{Limit: 1, MaxSteps: maxSteps})
-	count := 0
-	for {
-		m.search(0)
-		if len(m.results) == 0 {
-			return count
-		}
-		count++
-		m.excludeEmbedding(m.results[0], false)
-		m.resetSearch()
-	}
-}
-
 // Reanchorer repeatedly verifies that concrete target subgraphs are
 // instances of one fixed pattern, returning embeddings keyed to that
 // pattern's IDs. It reuses one matcher's dense graph-sized state
@@ -562,13 +472,13 @@ type Reanchorer struct {
 }
 
 // NewReanchorer prepares re-anchoring of subgraphs of target onto
-// pattern. maxSteps bounds each search (<= 0 unbounded).
-func NewReanchorer(pattern, target *graph.Graph, maxSteps int) *Reanchorer {
-	m := newMatcher(pattern, target, Options{Limit: 1, MaxSteps: maxSteps})
+// pattern, which must have dense IDs. maxSteps bounds each search
+// (<= 0 unbounded).
+func NewReanchorer(target, pattern *graph.Graph, maxSteps int) *Reanchorer {
+	requireDenseIDs(pattern)
+	m := newMatcher(target, pattern, Options{Limit: 1, MaxSteps: maxSteps}, true)
 	m.restrictVertex = make([]bool, target.VertexCap())
 	m.restrictEdge = make([]bool, target.EdgeCap())
-	m.hasRestrictVert = true
-	m.hasRestrictEdge = true
 	return &Reanchorer{m: m}
 }
 
@@ -578,46 +488,30 @@ func NewReanchorer(pattern, target *graph.Graph, maxSteps int) *Reanchorer {
 // vertex/edge IDs.
 func (r *Reanchorer) Reanchor(emb Embedding) (Embedding, bool) {
 	m := r.m
-	if m.pattern.NumVertices() != len(emb.Vertices) {
+	if m.pattern.NumVertices() != len(emb.Verts) {
 		return Embedding{}, false
 	}
-	for _, tv := range emb.Vertices {
-		m.restrictVertex[tv] = true
-	}
-	for _, te := range emb.Edges {
-		m.restrictEdge[te] = true
-	}
+	r.restrict(emb, true)
 	m.search(0)
 	var out Embedding
 	ok := len(m.results) > 0
 	if ok {
 		out = m.results[0]
 	}
-	for _, tv := range emb.Vertices {
-		m.restrictVertex[tv] = false
-	}
-	for _, te := range emb.Edges {
-		m.restrictEdge[te] = false
-	}
+	r.restrict(emb, false)
 	m.resetSearch()
 	return out, ok
 }
 
-// EmbedInSubgraph finds one embedding of pattern using only the given
-// target vertices and edges — verifying that a concrete target
-// subgraph is an instance of pattern. The search space is tiny
-// (pattern-sized), but each call pays one allocation of dense
-// matcher state sized to the target graph; for repeated checks
-// against one pattern use Reanchorer.
-func EmbedInSubgraph(pattern, target *graph.Graph, vset map[graph.VertexID]bool, eset map[graph.EdgeID]bool, maxSteps int) (Embedding, bool) {
-	embs := FindEmbeddings(pattern, target, Options{
-		Limit: 1, MaxSteps: maxSteps,
-		RestrictVertices: vset, RestrictEdges: eset,
-	})
-	if len(embs) == 0 {
-		return Embedding{}, false
+// restrict sets (on) or clears the search restriction to emb's
+// target vertices and edges.
+func (r *Reanchorer) restrict(emb Embedding, on bool) {
+	for _, tv := range emb.Verts {
+		r.m.restrictVertex[tv] = on
 	}
-	return embs[0], true
+	for _, te := range emb.Edges {
+		r.m.restrictEdge[te] = on
+	}
 }
 
 // GreedyNonOverlap selects a maximal prefix-greedy subset of
@@ -629,7 +523,7 @@ func GreedyNonOverlap(embs []Embedding) []Embedding {
 	var out []Embedding
 	for _, emb := range embs {
 		ok := true
-		for _, tv := range emb.Vertices {
+		for _, tv := range emb.Verts {
 			if usedV[tv] {
 				ok = false
 				break
@@ -646,7 +540,7 @@ func GreedyNonOverlap(embs []Embedding) []Embedding {
 		if !ok {
 			continue
 		}
-		for _, tv := range emb.Vertices {
+		for _, tv := range emb.Verts {
 			usedV[tv] = true
 		}
 		for _, te := range emb.Edges {
@@ -658,18 +552,22 @@ func GreedyNonOverlap(embs []Embedding) []Embedding {
 }
 
 // FindNonOverlapping greedily extracts pairwise vertex- and
-// edge-disjoint instances of pattern in target, up to maxInstances
-// (<= 0 for all). Vertex-disjointness is the "no overlap" notion of
-// the paper's SUBDUE runs and guarantees termination even for
-// edgeless patterns.
-func FindNonOverlapping(pattern, target *graph.Graph, maxInstances, maxSteps int) []Embedding {
-	if pattern.NumVertices() == 0 || pattern.NumVertices() > target.NumVertices() ||
-		pattern.NumEdges() > target.NumEdges() {
+// edge-disjoint instances of pattern (dense IDs) in target, up to
+// maxInstances (<= 0 for all). Vertex-disjointness is the "no
+// overlap" notion of the paper's SUBDUE runs and guarantees
+// termination even for edgeless patterns.
+func FindNonOverlapping(target, pattern *graph.Graph, maxInstances, maxSteps int) []Embedding {
+	requireDenseIDs(pattern)
+	if !fits(target, pattern) {
 		return nil
 	}
-	// One matcher serves every extraction round (see
-	// CountNonOverlapping).
-	m := newMatcher(pattern, target, Options{Limit: 1, MaxSteps: maxSteps})
+	// One matcher serves every extraction round: exclusions
+	// accumulate in its dense state and each round resets in
+	// O(pattern), instead of rebuilding graph-sized state per
+	// instance.
+	m := newMatcher(target, pattern, Options{Limit: 1, MaxSteps: maxSteps}, true)
+	m.excludedVertex = make([]bool, target.VertexCap())
+	m.excludedEdge = make([]bool, target.EdgeCap())
 	var result []Embedding
 	for maxInstances <= 0 || len(result) < maxInstances {
 		m.search(0)
@@ -678,7 +576,12 @@ func FindNonOverlapping(pattern, target *graph.Graph, maxInstances, maxSteps int
 		}
 		emb := m.results[0]
 		result = append(result, emb)
-		m.excludeEmbedding(emb, true)
+		for _, tv := range emb.Verts {
+			m.excludedVertex[tv] = true
+		}
+		for _, te := range emb.Edges {
+			m.excludedEdge[te] = true
+		}
 		m.resetSearch()
 	}
 	return result

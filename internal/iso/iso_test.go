@@ -72,7 +72,7 @@ func TestEmbeddingCountsHubAndChain(t *testing.T) {
 	pat := buildGraph(t, []string{"*", "*", "*"}, [][3]interface{}{
 		{0, 1, "a"}, {0, 2, "a"},
 	})
-	if got := CountEmbeddings(pat, hub, 0); got != 6 {
+	if got := CountEmbeddings(hub, pat, 0); got != 6 {
 		t.Fatalf("hub embeddings = %d, want 6", got)
 	}
 	// Chain x->y->z embeds exactly once in itself... times
@@ -193,25 +193,31 @@ func TestCountNonOverlapping(t *testing.T) {
 		{0, 1, "a"}, {2, 3, "a"}, {4, 5, "b"},
 	})
 	pat := buildGraph(t, []string{"*", "*"}, [][3]interface{}{{0, 1, "a"}})
-	if got := CountNonOverlapping(pat, g, 0); got != 2 {
+	if got := len(FindNonOverlapping(g, pat, 0, 0)); got != 2 {
 		t.Fatalf("non-overlapping count = %d, want 2", got)
+	}
+	if got := len(FindNonOverlapping(g, pat, 1, 0)); got != 1 {
+		t.Fatalf("maxInstances 1: count = %d, want 1", got)
 	}
 }
 
 func TestCountNonOverlappingSharedVertex(t *testing.T) {
-	// Hub with 4 spokes: 2-spoke pattern fits twice edge-disjointly.
-	g := buildGraph(t, []string{"*", "*", "*", "*", "*"}, [][3]interface{}{
+	// A hub with 4 spokes holds four edge-disjoint 2-spoke instances
+	// in pairs, but every one uses the hub: vertex-disjoint extraction
+	// takes one. A second, separate 2-spoke hub adds one more.
+	g := buildGraph(t, []string{"*", "*", "*", "*", "*", "*", "*", "*"}, [][3]interface{}{
 		{0, 1, "a"}, {0, 2, "a"}, {0, 3, "a"}, {0, 4, "a"},
+		{5, 6, "a"}, {5, 7, "a"},
 	})
 	pat := buildGraph(t, []string{"*", "*", "*"}, [][3]interface{}{
 		{0, 1, "a"}, {0, 2, "a"},
 	})
-	if got := CountNonOverlapping(pat, g, 0); got != 2 {
+	if got := len(FindNonOverlapping(g, pat, 0, 0)); got != 2 {
 		t.Fatalf("non-overlapping hub count = %d, want 2", got)
 	}
 }
 
-func TestFindEmbeddingsLimitAndBudget(t *testing.T) {
+func TestEmbeddingsLimitAndBudget(t *testing.T) {
 	g := graph.New("g")
 	for i := 0; i < 30; i++ {
 		g.AddVertex("*")
@@ -220,12 +226,17 @@ func TestFindEmbeddingsLimitAndBudget(t *testing.T) {
 		g.AddEdge(graph.VertexID(i), graph.VertexID(i+1), "a")
 	}
 	pat := buildGraph(t, []string{"*", "*"}, [][3]interface{}{{0, 1, "a"}})
-	if got := len(FindEmbeddings(pat, g, Options{Limit: 5})); got != 5 {
-		t.Fatalf("limited embeddings = %d, want 5", got)
+	embs, completed := Embeddings(g, pat, Options{Limit: 5})
+	if len(embs) != 5 || !completed {
+		t.Fatalf("limited embeddings = %d (completed %v), want 5 (true)", len(embs), completed)
 	}
-	found, completed := ContainsBudget(g, pat, 1)
-	if !found && completed {
-		t.Fatal("budget=1 search reported completed without finding")
+	if embs, completed := Embeddings(g, pat, Options{}); len(embs) != 29 || !completed {
+		t.Fatalf("unlimited embeddings = %d (completed %v), want 29 (true)", len(embs), completed)
+	}
+	// One step expands the root only: the search aborts before its
+	// first hit and must say so.
+	if embs, completed := Embeddings(g, pat, Options{MaxSteps: 1}); completed || len(embs) != 0 {
+		t.Fatalf("MaxSteps 1: %d embeddings, completed %v; want 0, false", len(embs), completed)
 	}
 }
 
@@ -236,16 +247,16 @@ func TestEmbeddingEdgeMapIsValid(t *testing.T) {
 	pat := buildGraph(t, []string{"*", "*", "*"}, [][3]interface{}{
 		{0, 1, "a"}, {1, 2, "b"},
 	})
-	embs := FindEmbeddings(pat, target, Options{})
+	embs, _ := Embeddings(target, pat, Options{})
 	if len(embs) != 1 {
 		t.Fatalf("embeddings = %d, want 1", len(embs))
 	}
 	for pe, te := range embs[0].Edges {
-		ped, ted := pat.Edge(pe), target.Edge(te)
+		ped, ted := pat.Edge(graph.EdgeID(pe)), target.Edge(te)
 		if ped.Label != ted.Label {
 			t.Fatalf("edge label mismatch: %s vs %s", ped.Label, ted.Label)
 		}
-		if embs[0].Vertices[ped.From] != ted.From || embs[0].Vertices[ped.To] != ted.To {
+		if embs[0].Verts[ped.From] != ted.From || embs[0].Verts[ped.To] != ted.To {
 			t.Fatal("edge endpoints inconsistent with vertex mapping")
 		}
 	}

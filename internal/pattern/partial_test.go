@@ -31,9 +31,9 @@ func singleEdgeParent(txns []*graph.Graph) *Pattern {
 	p := &Pattern{Graph: pg, Code: iso.Code(pg), TIDs: NewTIDSet()}
 	for tid, txn := range txns {
 		fan := txn.NumEdges()
-		embs := make([]iso.DenseEmbedding, fan)
+		embs := make([]iso.Embedding, fan)
 		for i := range embs {
-			embs[i] = iso.DenseEmbedding{
+			embs[i] = iso.Embedding{
 				Verts: []graph.VertexID{0, graph.VertexID(i + 1)},
 				Edges: []graph.EdgeID{graph.EdgeID(i)},
 			}

@@ -34,8 +34,8 @@ import (
 
 // Pattern couples a pattern graph with its code, support and
 // embeddings. The Graph must have dense IDs (true of every graph
-// built by Clone+AddVertex+AddEdge), because embeddings are stored in
-// dense form.
+// built by Clone+AddVertex+AddEdge), because iso.Embedding slots are
+// indexed by pattern vertex and edge ID.
 type Pattern struct {
 	Graph *graph.Graph
 	// Code is the exact canonical code of Graph (iso.Code): equal
@@ -58,7 +58,7 @@ type Pattern struct {
 	// in Partial are seeds — at most SeedsPerTID true embeddings that
 	// warm-start extension counting but cannot prove absence — while
 	// the lists of TIDs outside Partial are still complete.
-	Embs [][]iso.DenseEmbedding
+	Embs [][]iso.Embedding
 	// Overflowed marks that at least one transaction's complete
 	// enumeration exceeded its budget (or that lists were dropped
 	// entirely): support data stays valid, and Partial says which
@@ -168,19 +168,19 @@ func (p *Pattern) DemoteToSeeds() {
 // NewSingle returns a Pattern over one implicit transaction (TID 0)
 // holding the given instance list — the single-graph (SUBDUE) view of
 // the store.
-func NewSingle(g *graph.Graph, code string, embs []iso.DenseEmbedding) *Pattern {
+func NewSingle(g *graph.Graph, code string, embs []iso.Embedding) *Pattern {
 	return &Pattern{
 		Graph:   g,
 		Code:    code,
 		Support: 1,
 		TIDs:    NewTIDSet(0),
-		Embs:    [][]iso.DenseEmbedding{embs},
+		Embs:    [][]iso.Embedding{embs},
 	}
 }
 
 // Instances returns the embedding list of a single-graph pattern
 // (nil when embeddings are not tracked).
-func (p *Pattern) Instances() []iso.DenseEmbedding {
+func (p *Pattern) Instances() []iso.Embedding {
 	if len(p.Embs) == 0 {
 		return nil
 	}
@@ -314,7 +314,7 @@ func countExtensionInto(out *Pattern, retained int, txns []*graph.Graph, parent 
 	fmax := tidFilter.Max()
 	fcur := tidFilter.Cursor()
 	pcur := parent.Partial.Cursor()
-	var buf []iso.DenseEmbedding
+	var buf []iso.Embedding
 	for pi, tid := range parent.TIDs.All() {
 		if tid > fmax {
 			break
@@ -325,7 +325,7 @@ func countExtensionInto(out *Pattern, retained int, txns []*graph.Graph, parent 
 		// An untracked parent (no lists at all) behaves as a seeded
 		// parent with zero seeds: every transaction decides by
 		// search, at exactly the classic counter's cost.
-		var pembs []iso.DenseEmbedding
+		var pembs []iso.Embedding
 		if parent.Embs != nil {
 			pembs = parent.Embs[pi]
 		}
@@ -392,7 +392,7 @@ func countExtensionInto(out *Pattern, retained int, txns []*graph.Graph, parent 
 			}
 		}
 		if trackLists {
-			out.Embs = append(out.Embs, append([]iso.DenseEmbedding(nil), buf...))
+			out.Embs = append(out.Embs, append([]iso.Embedding(nil), buf...))
 			if storeComplete && !tripped {
 				retained += len(buf)
 			} else {
@@ -435,7 +435,7 @@ func Rebase(stored *Pattern, child *graph.Graph, code string) (*Pattern, bool) {
 		// The common case: the delta run generated the candidate with
 		// exactly the construction the previous run persisted, so the
 		// ID spaces already agree and the lists transfer as-is.
-		out.Embs = append([][]iso.DenseEmbedding(nil), stored.Embs...)
+		out.Embs = append([][]iso.Embedding(nil), stored.Embs...)
 		return out, true
 	}
 	// Isomorphic but differently constructed: one small search on the
@@ -446,12 +446,12 @@ func Rebase(stored *Pattern, child *graph.Graph, code string) (*Pattern, bool) {
 		return nil, false
 	}
 	vmap, emap := maps[0].Verts, maps[0].Edges // storedID -> childID
-	out.Embs = make([][]iso.DenseEmbedding, len(stored.Embs))
+	out.Embs = make([][]iso.Embedding, len(stored.Embs))
 	for i, list := range stored.Embs {
 		if list == nil {
 			continue
 		}
-		rewritten := make([]iso.DenseEmbedding, len(list))
+		rewritten := make([]iso.Embedding, len(list))
 		for j, emb := range list {
 			verts := make([]graph.VertexID, len(emb.Verts))
 			for s, tv := range emb.Verts {
@@ -461,7 +461,7 @@ func Rebase(stored *Pattern, child *graph.Graph, code string) (*Pattern, bool) {
 			for s, te := range emb.Edges {
 				edges[emap[s]] = te
 			}
-			rewritten[j] = iso.DenseEmbedding{Verts: verts, Edges: edges}
+			rewritten[j] = iso.Embedding{Verts: verts, Edges: edges}
 		}
 		out.Embs[i] = rewritten
 	}

@@ -78,7 +78,7 @@ func TestCountExtensionIncrementalAndFallback(t *testing.T) {
 	pg.AddEdge(pa, pb, "e")
 	parent := &Pattern{
 		Graph: pg, Code: iso.Code(pg), Support: 2, TIDs: NewTIDSet(0, 1),
-		Embs: [][]iso.DenseEmbedding{
+		Embs: [][]iso.Embedding{
 			{{Verts: []graph.VertexID{0, 1}, Edges: []graph.EdgeID{0}}},
 			{{Verts: []graph.VertexID{0, 1}, Edges: []graph.EdgeID{0}}},
 		},
@@ -115,8 +115,8 @@ func TestCountExtensionIncrementalAndFallback(t *testing.T) {
 // TestEnforceBudget checks the level-wide prefix enforcement.
 func TestEnforceBudget(t *testing.T) {
 	mk := func(n int) Pattern {
-		embs := make([]iso.DenseEmbedding, n)
-		return Pattern{Embs: [][]iso.DenseEmbedding{embs}, TIDs: NewTIDSet(0)}
+		embs := make([]iso.Embedding, n)
+		return Pattern{Embs: [][]iso.Embedding{embs}, TIDs: NewTIDSet(0)}
 	}
 	pats := []Pattern{mk(3), mk(4), mk(2)}
 	if retained := EnforceBudget(pats, 5); retained != 5 {
@@ -135,7 +135,7 @@ func TestEnforceBudget(t *testing.T) {
 // validEmbedding checks that emb really maps pat into txn: labels
 // agree and every pattern edge's witness connects the mapped
 // endpoints.
-func validEmbedding(t *testing.T, txn, pat *graph.Graph, emb iso.DenseEmbedding) {
+func validEmbedding(t *testing.T, txn, pat *graph.Graph, emb iso.Embedding) {
 	t.Helper()
 	for pv, tv := range emb.Verts {
 		if pat.Vertex(graph.VertexID(pv)).Label != txn.Vertex(tv).Label {
@@ -180,7 +180,7 @@ func TestRebasePermutedConstruction(t *testing.T) {
 		Graph: sg, Code: code, Support: 2, TIDs: NewTIDSet(0, 1),
 		// Stored embeddings are in stored-ID order: Verts[sc]=2,
 		// Verts[sa]=0, Verts[sb]=1; Edges[f]=1, Edges[e]=0.
-		Embs: [][]iso.DenseEmbedding{
+		Embs: [][]iso.Embedding{
 			{{Verts: []graph.VertexID{2, 0, 1}, Edges: []graph.EdgeID{1, 0}}},
 			{{Verts: []graph.VertexID{2, 0, 1}, Edges: []graph.EdgeID{1, 0}}},
 		},
@@ -221,10 +221,10 @@ func TestCountExtensionFromContinuesColumn(t *testing.T) {
 	pa := pg.AddVertex("v0")
 	pb := pg.AddVertex("v1")
 	pg.AddEdge(pa, pb, "e")
-	parentEmb := iso.DenseEmbedding{Verts: []graph.VertexID{0, 1}, Edges: []graph.EdgeID{0}}
+	parentEmb := iso.Embedding{Verts: []graph.VertexID{0, 1}, Edges: []graph.EdgeID{0}}
 	parent := &Pattern{
 		Graph: pg, Code: iso.Code(pg), Support: 2, TIDs: NewTIDSet(0, 1),
-		Embs: [][]iso.DenseEmbedding{{parentEmb}, {parentEmb.Clone()}},
+		Embs: [][]iso.Embedding{{parentEmb}, {parentEmb.Clone()}},
 	}
 	child := pg.Clone()
 	pc := child.AddVertex("v2")
@@ -235,7 +235,7 @@ func TestCountExtensionFromContinuesColumn(t *testing.T) {
 
 	// The same column, counted as TID 0 from the store + TID 1 fresh.
 	base := &Pattern{Graph: child, Code: code, Support: 1, TIDs: NewTIDSet(0),
-		Embs: [][]iso.DenseEmbedding{append([]iso.DenseEmbedding(nil), oneShot.Embs[0]...)}}
+		Embs: [][]iso.Embedding{append([]iso.Embedding(nil), oneShot.Embs[0]...)}}
 	cont, st := CountExtensionFrom(base, txns, parent, ne, NewTIDSet(1), CountOptions{})
 	if fmt.Sprint(cont.TIDs) != fmt.Sprint(oneShot.TIDs) || cont.Support != oneShot.Support {
 		t.Fatalf("continued column diverged: %v vs %v", cont.TIDs, oneShot.TIDs)
@@ -268,10 +268,10 @@ func TestCountExtensionFromClampsOversizedBase(t *testing.T) {
 	pa := pg.AddVertex("v0")
 	pb := pg.AddVertex("v1")
 	pg.AddEdge(pa, pb, "e")
-	parentEmb := iso.DenseEmbedding{Verts: []graph.VertexID{0, 1}, Edges: []graph.EdgeID{0}}
+	parentEmb := iso.Embedding{Verts: []graph.VertexID{0, 1}, Edges: []graph.EdgeID{0}}
 	parent := &Pattern{
 		Graph: pg, Code: iso.Code(pg), Support: 2, TIDs: NewTIDSet(0, 1),
-		Embs: [][]iso.DenseEmbedding{{parentEmb}, {parentEmb.Clone()}},
+		Embs: [][]iso.Embedding{{parentEmb}, {parentEmb.Clone()}},
 	}
 	child := pg.Clone()
 	pc := child.AddVertex("v2")
@@ -279,12 +279,12 @@ func TestCountExtensionFromClampsOversizedBase(t *testing.T) {
 
 	// Base column holds 4 embeddings for TID 0; the delta run's
 	// budget is 3.
-	over := make([]iso.DenseEmbedding, 4)
+	over := make([]iso.Embedding, 4)
 	for i := range over {
-		over[i] = iso.DenseEmbedding{Verts: []graph.VertexID{0, 1, 2}, Edges: []graph.EdgeID{0, 1}}
+		over[i] = iso.Embedding{Verts: []graph.VertexID{0, 1, 2}, Edges: []graph.EdgeID{0, 1}}
 	}
 	base := &Pattern{Graph: child, Code: "c", Support: 1, TIDs: NewTIDSet(0),
-		Embs: [][]iso.DenseEmbedding{over}}
+		Embs: [][]iso.Embedding{over}}
 	got, _ := CountExtensionFrom(base, txns, parent, ne, NewTIDSet(1), CountOptions{MaxEmbeddings: 3})
 	if got.Support != 2 || fmt.Sprint(got.TIDs) != "[0 1]" {
 		t.Fatalf("clamped resume lost exactness: support=%d tids=%v", got.Support, got.TIDs)

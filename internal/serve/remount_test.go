@@ -40,7 +40,7 @@ func writeGenStore(t testing.TB, path string, gen int, parent string) {
 	g.AddEdge(pv, pv, "e")
 	p := pattern.Pattern{
 		Graph: g, Code: "genpat", Support: 100 + gen, TIDs: pattern.NewTIDSet(0),
-		Embs: [][]iso.DenseEmbedding{{{Verts: []graph.VertexID{tv}, Edges: []graph.EdgeID{te}}}},
+		Embs: [][]iso.Embedding{{{Verts: []graph.VertexID{tv}, Edges: []graph.EdgeID{te}}}},
 	}
 	w, err := store.Create(path, store.Meta{Name: "lineage", Kind: "fsg", Generation: gen, Parent: parent})
 	if err != nil {

@@ -818,7 +818,7 @@ func decodeOccurrences(ctx context.Context, mt match, limit int) (RecordOccurren
 // a record whose embeddings reference vertices or edges missing from
 // the transaction must surface as a corrupt-store error, not a
 // panic.
-func occurrenceJSON(txn *graph.Graph, emb iso.DenseEmbedding) (OccurrenceJSON, error) {
+func occurrenceJSON(txn *graph.Graph, emb iso.Embedding) (OccurrenceJSON, error) {
 	out := OccurrenceJSON{Vertices: []OccVertexJSON{}, Edges: []OccEdgeJSON{}}
 	for pv, tv := range emb.Verts {
 		if !txn.HasVertex(tv) {

@@ -101,7 +101,7 @@ func TestWriterRejectsDanglingEmbeddings(t *testing.T) {
 	v := g.AddVertex("A")
 	g.AddEdge(v, v, "e")
 	p := pattern.Pattern{Graph: g, Code: "dangling", Support: 1, TIDs: pattern.NewTIDSet(0),
-		Embs: [][]iso.DenseEmbedding{{{Verts: []graph.VertexID{99}, Edges: []graph.EdgeID{0}}}}}
+		Embs: [][]iso.Embedding{{{Verts: []graph.VertexID{99}, Edges: []graph.EdgeID{0}}}}}
 
 	w, err := Create(tmpStore(t), Meta{Name: "dangling"})
 	if err != nil {

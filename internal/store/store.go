@@ -777,7 +777,7 @@ func decodePattern(d *dec) *pattern.Pattern {
 		return p
 	}
 	n := p.TIDs.Len()
-	p.Embs = make([][]iso.DenseEmbedding, n)
+	p.Embs = make([][]iso.Embedding, n)
 	for i := range p.Embs {
 		cnt := d.count()
 		if d.err != nil {
@@ -786,7 +786,7 @@ func decodePattern(d *dec) *pattern.Pattern {
 		if cnt == 0 {
 			continue
 		}
-		list := make([]iso.DenseEmbedding, cnt)
+		list := make([]iso.Embedding, cnt)
 		for j := range list {
 			nv := d.count()
 			if d.err != nil {
@@ -804,7 +804,7 @@ func decodePattern(d *dec) *pattern.Pattern {
 			for k := range edges {
 				edges[k] = graph.EdgeID(d.uvarint())
 			}
-			list[j] = iso.DenseEmbedding{Verts: verts, Edges: edges}
+			list[j] = iso.Embedding{Verts: verts, Edges: edges}
 		}
 		p.Embs[i] = list
 	}

@@ -94,8 +94,8 @@ func randPattern(rng *rand.Rand, edges int, txns []*graph.Graph) pattern.Pattern
 
 // randEmbs builds one embedding list per TID whose vertices are live
 // vertices of that transaction.
-func randEmbs(rng *rand.Rand, tids []int, txns []*graph.Graph, nv, ne int, allowEmpty bool) [][]iso.DenseEmbedding {
-	out := make([][]iso.DenseEmbedding, len(tids))
+func randEmbs(rng *rand.Rand, tids []int, txns []*graph.Graph, nv, ne int, allowEmpty bool) [][]iso.Embedding {
+	out := make([][]iso.Embedding, len(tids))
 	for i, tid := range tids {
 		live := txns[tid].Vertices()
 		cnt := rng.Intn(4)
@@ -111,7 +111,7 @@ func randEmbs(rng *rand.Rand, tids []int, txns []*graph.Graph, nv, ne int, allow
 			for k := range edges {
 				edges[k] = graph.EdgeID(rng.Intn(80))
 			}
-			out[i] = append(out[i], iso.DenseEmbedding{Verts: verts, Edges: edges})
+			out[i] = append(out[i], iso.Embedding{Verts: verts, Edges: edges})
 		}
 	}
 	return out
@@ -636,7 +636,7 @@ func TestWriterValidation(t *testing.T) {
 	}
 	if err := w.WriteLevel(1, []pattern.Pattern{{
 		Graph: g, Code: "c", Support: 1, TIDs: pattern.NewTIDSet(0),
-		Embs: make([][]iso.DenseEmbedding, 2),
+		Embs: make([][]iso.Embedding, 2),
 	}}); err == nil {
 		t.Fatal("misaligned embedding lists accepted")
 	}

@@ -223,12 +223,12 @@ func (d *discoverer) initialSubstructures() []Substructure {
 	for _, label := range d.g.VertexLabels() {
 		pg := graph.New("sub")
 		pg.AddVertex(label)
-		var embs []iso.DenseEmbedding
+		var embs []iso.Embedding
 		for _, v := range d.g.Vertices() {
 			if d.g.Vertex(v).Label != label {
 				continue
 			}
-			embs = append(embs, iso.DenseEmbedding{Verts: []graph.VertexID{v}})
+			embs = append(embs, iso.Embedding{Verts: []graph.VertexID{v}})
 			if d.opts.MaxInstances > 0 && len(embs) >= d.opts.MaxInstances {
 				break
 			}
@@ -248,8 +248,8 @@ func (d *discoverer) initialSubstructures() []Substructure {
 // score computes the non-overlapping instance count and evaluation
 // value of a pattern given its canonical code (already computed by
 // the extend/dedup stage) and its discovered embeddings.
-func (d *discoverer) score(pg *graph.Graph, code string, embs []iso.DenseEmbedding) Substructure {
-	disjoint := iso.GreedyNonOverlapDense(embs)
+func (d *discoverer) score(pg *graph.Graph, code string, embs []iso.Embedding) Substructure {
+	disjoint := iso.GreedyNonOverlap(embs)
 	return Substructure{
 		Graph:     pg,
 		Code:      code,
@@ -262,7 +262,7 @@ func (d *discoverer) score(pg *graph.Graph, code string, embs []iso.DenseEmbeddi
 // extCandidate accumulates the instances of one extension pattern.
 type extCandidate struct {
 	pattern *graph.Graph
-	embs    []iso.DenseEmbedding
+	embs    []iso.Embedding
 	seen    map[string]bool // instance dedup by target vertex+edge sets
 	// re re-anchors instances reached through a different isomorphic
 	// construction onto pattern, built lazily on first need and
@@ -303,7 +303,7 @@ type descInfo struct {
 type rawCand struct {
 	code    string
 	pattern *graph.Graph
-	embs    []iso.DenseEmbedding
+	embs    []iso.Embedding
 }
 
 // extend generates all one-edge extensions of sub that occur in the
@@ -429,9 +429,9 @@ func (d *discoverer) extend(sub *Substructure) []rawCand {
 						if maxSteps <= 0 {
 							maxSteps = 10000
 						}
-						cand.re = iso.NewReanchorer(cand.pattern, d.g, maxSteps)
+						cand.re = iso.NewReanchorer(d.g, cand.pattern, maxSteps)
 					}
-					re, ok := cand.re.ReanchorDense(newEmb)
+					re, ok := cand.re.Reanchor(newEmb)
 					if !ok {
 						continue
 					}
@@ -452,7 +452,7 @@ func (d *discoverer) extend(sub *Substructure) []rawCand {
 
 // instanceKey identifies an instance by its target vertex and edge
 // sets, independent of the pattern-side numbering.
-func instanceKey(e iso.DenseEmbedding) string {
+func instanceKey(e iso.Embedding) string {
 	vs := make([]int, 0, len(e.Verts))
 	for _, tv := range e.Verts {
 		vs = append(vs, int(tv))
@@ -581,7 +581,7 @@ func (ev evaluator) value(sub *graph.Graph, instances int) float64 {
 // This is the step SUBDUE repeats to build a hierarchical description
 // of the graph's regularities.
 func Compress(g *graph.Graph, sub *graph.Graph, label string, maxInstances, maxSteps int) (*graph.Graph, int) {
-	insts := iso.FindNonOverlapping(sub, g, maxInstances, maxSteps)
+	insts := iso.FindNonOverlapping(g, sub, maxInstances, maxSteps)
 	if len(insts) == 0 {
 		c, _ := g.Compact()
 		return c, 0
@@ -590,7 +590,7 @@ func Compress(g *graph.Graph, sub *graph.Graph, label string, maxInstances, maxS
 	owner := make(map[graph.VertexID]int)
 	coveredEdge := make(map[graph.EdgeID]bool)
 	for i, emb := range insts {
-		for _, tv := range emb.Vertices {
+		for _, tv := range emb.Verts {
 			owner[tv] = i
 		}
 		for _, te := range emb.Edges {

@@ -37,7 +37,9 @@
 // embedding lists, so FSG counts a candidate's support by extending
 // its parent's embeddings across the one new edge instead of
 // re-running a full subgraph-isomorphism search per transaction, and
-// SUBDUE's instance growth rides the same representation. Embedding
+// SUBDUE's instance growth rides the same representation: one
+// embedding type (iso.Embedding, two slices indexed by pattern vertex
+// and edge ID) from the matcher through the store. Embedding
 // memory is metered by the MaxEmbeddings option of FSGOptions,
 // StructuralOptions and TemporalMineOptions (0 = default budget,
 // negative = unlimited): over-budget patterns keep warm-start seeds
